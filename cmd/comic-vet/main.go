@@ -2,9 +2,9 @@
 // concurrency-contract lint suite.
 //
 // It bundles the repo-specific analyzers from comic/internal/lint — detrand,
-// maporder, queuepop, lockorder, errlost, fpdet, directive — with
-// lightweight ports of the upstream shadow, lostcancel, nilfunc, and
-// copylocks passes, and runs them in either of two modes:
+// maporder, queuepop, lockorder, errlost, fpdet, directive — with a
+// lightweight port of the upstream shadow pass, which default go vet does
+// not run, and runs them in either of two modes:
 //
 //	comic-vet ./...                       standalone: load packages and check them
 //	go vet -vettool=$(pwd)/comic-vet ./...  vettool: driven by the go command

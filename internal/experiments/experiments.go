@@ -15,8 +15,8 @@ import (
 	"comic/internal/montecarlo"
 	"comic/internal/rng"
 	"comic/internal/rrset"
-	"comic/internal/sandwich"
 	"comic/internal/seeds"
+	"comic/internal/solver"
 )
 
 // Config controls the scale and budgets of all experiments.
@@ -106,15 +106,40 @@ func (c Config) timOptions() rrset.Options {
 	}
 }
 
-func (c Config) sandwichConfig() sandwich.Config {
-	return sandwich.Config{
+func (c Config) solverConfig() solver.Config {
+	return solver.Config{
 		K:          c.K,
 		TIM:        c.timOptions(),
 		EvalRuns:   c.MCRuns,
 		Seed:       c.Seed,
-		UseSIMPlus: true,
 		GreedyRuns: c.GreedyRuns,
 	}
+}
+
+// simAlgorithms are the two SelfInfMax RR-set generators the paper times
+// against each other (Figures 4, 7a and 7b). They sample world-for-world
+// identical RR sets; RR-SIM+ skips work RR-SIM does.
+var simAlgorithms = []string{"RR-SIM", "RR-SIM+"}
+
+// simConfig is solverConfig with SelfInfMax's RR sets generated by alg, one
+// of simAlgorithms.
+func (c Config) simConfig(alg string) solver.Config {
+	sc := c.solverConfig()
+	if alg == "RR-SIM" {
+		sc.Collections = rrSIM{}
+	}
+	return sc
+}
+
+// rrSIM is a collection provider that builds every collection directly,
+// with the RR-SIM generator where the solver asks for RR-SIM+.
+type rrSIM struct{}
+
+func (rrSIM) Collection(req rrset.CollectionRequest) (*rrset.Collection, error) {
+	if req.Kind == rrset.KindSIMPlus {
+		req.Kind = rrset.KindSIM
+	}
+	return req.Build()
 }
 
 func (c Config) loadDatasets() ([]*datasets.Dataset, error) {

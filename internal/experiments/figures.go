@@ -7,8 +7,8 @@ import (
 	"comic/internal/core"
 	"comic/internal/datasets"
 	"comic/internal/rng"
-	"comic/internal/sandwich"
 	"comic/internal/seeds"
+	"comic/internal/solver"
 	"comic/internal/stats"
 )
 
@@ -52,17 +52,11 @@ func Figure4(cfg Config, epsilons []float64) (*Figure4Result, error) {
 		for _, eps := range epsilons {
 			runCfg := cfg
 			runCfg.Epsilon = eps
-			for _, plus := range []bool{false, true} {
-				sc := runCfg.sandwichConfig()
-				sc.UseSIMPlus = plus
+			for _, alg := range simAlgorithms {
 				t0 := time.Now()
-				sw, err := sandwich.SolveSelfInfMax(d.Graph, d.GAP, opp, sc)
+				sw, err := solver.SolveSelfInfMax(d.Graph, d.GAP, opp, runCfg.simConfig(alg))
 				if err != nil {
 					return nil, err
-				}
-				alg := "RR-SIM"
-				if plus {
-					alg = "RR-SIM+"
 				}
 				res.Points = append(res.Points, Figure4Point{
 					Dataset: d.Name, Algorithm: alg, Epsilon: eps,
@@ -72,7 +66,7 @@ func Figure4(cfg Config, epsilons []float64) (*Figure4Result, error) {
 				})
 			}
 			t0 := time.Now()
-			sw, err := sandwich.SolveCompInfMax(d.Graph, d.GAP, opp, runCfg.sandwichConfig())
+			sw, err := solver.SolveCompInfMax(d.Graph, d.GAP, opp, runCfg.solverConfig())
 			if err != nil {
 				return nil, err
 			}
@@ -155,7 +149,7 @@ func Figure5(cfg Config) (*CurveResult, error) {
 	for di, d := range ds {
 		g := d.Graph
 		opp := cfg.oppositeSeeds(g, OppositeNext, cfg.Seed+uint64(di))
-		sw, err := sandwich.SolveSelfInfMax(g, d.GAP, opp, cfg.sandwichConfig())
+		sw, err := solver.SolveSelfInfMax(g, d.GAP, opp, cfg.solverConfig())
 		if err != nil {
 			return nil, err
 		}
@@ -198,7 +192,7 @@ func Figure6(cfg Config) (*CurveResult, error) {
 		g := d.Graph
 		opp := cfg.oppositeSeeds(g, OppositeNext, cfg.Seed+uint64(di))
 		res.BaselineSpread[d.Name] = cfg.evalSelf(g, d.GAP, opp, nil)
-		sw, err := sandwich.SolveCompInfMax(g, d.GAP, opp, cfg.sandwichConfig())
+		sw, err := solver.SolveCompInfMax(g, d.GAP, opp, cfg.solverConfig())
 		if err != nil {
 			return nil, err
 		}
@@ -272,22 +266,16 @@ func Figure7Time(cfg Config) (*Figure7TimeResult, error) {
 			res.Rows = append(res.Rows, TimeRow{Dataset: d.Name, Algorithm: name, Seconds: time.Since(t0).Seconds()})
 			return nil
 		}
-		for _, plus := range []bool{false, true} {
-			name := "RR-SIM"
-			if plus {
-				name = "RR-SIM+"
-			}
-			sc := cfg.sandwichConfig()
-			sc.UseSIMPlus = plus
-			if err := timeIt(name, func() error {
-				_, err := sandwich.SolveSelfInfMax(g, d.GAP, opp, sc)
+		for _, alg := range simAlgorithms {
+			if err := timeIt(alg, func() error {
+				_, err := solver.SolveSelfInfMax(g, d.GAP, opp, cfg.simConfig(alg))
 				return err
 			}); err != nil {
 				return nil, err
 			}
 		}
 		if err := timeIt("RR-CIM", func() error {
-			_, err := sandwich.SolveCompInfMax(g, d.GAP, opp, cfg.sandwichConfig())
+			_, err := solver.SolveCompInfMax(g, d.GAP, opp, cfg.solverConfig())
 			return err
 		}); err != nil {
 			return nil, err
@@ -355,21 +343,15 @@ func Figure7Scale(cfg Config, sizes []int) (*Figure7ScaleResult, error) {
 	for si, n := range sizes {
 		g := datasets.Scalability(n, cfg.Seed+uint64(si))
 		opp := seeds.Random(g, cfg.K, rng.New(cfg.Seed^uint64(si)))
-		for _, plus := range []bool{false, true} {
-			name := "RR-SIM"
-			if plus {
-				name = "RR-SIM+"
-			}
-			sc := cfg.sandwichConfig()
-			sc.UseSIMPlus = plus
+		for _, alg := range simAlgorithms {
 			t0 := time.Now()
-			if _, err := sandwich.SolveSelfInfMax(g, gap, opp, sc); err != nil {
+			if _, err := solver.SolveSelfInfMax(g, gap, opp, cfg.simConfig(alg)); err != nil {
 				return nil, err
 			}
-			res.Points = append(res.Points, ScalePoint{Algorithm: name, Nodes: n, Seconds: time.Since(t0).Seconds()})
+			res.Points = append(res.Points, ScalePoint{Algorithm: alg, Nodes: n, Seconds: time.Since(t0).Seconds()})
 		}
 		t0 := time.Now()
-		if _, err := sandwich.SolveCompInfMax(g, gap, opp, cfg.sandwichConfig()); err != nil {
+		if _, err := solver.SolveCompInfMax(g, gap, opp, cfg.solverConfig()); err != nil {
 			return nil, err
 		}
 		res.Points = append(res.Points, ScalePoint{Algorithm: "RR-CIM", Nodes: n, Seconds: time.Since(t0).Seconds()})
@@ -422,12 +404,12 @@ func Figure8(cfg Config) (*Figure8Result, error) {
 	opp := cfg.oppositeSeeds(g, OppositeNext, cfg.Seed)
 	res := &Figure8Result{Dataset: d.Name}
 
-	sc := cfg.sandwichConfig()
+	sc := cfg.solverConfig()
 	sc.IncludeGreedy = cfg.IncludeGreedy
 	// SelfInfMax stress rows.
 	for _, qb0 := range []float64{0.1, 0.5, 0.9} {
 		gap := core.GAP{QA0: d.GAP.QA0, QAB: d.GAP.QAB, QB0: qb0, QBA: 0.96}
-		sw, err := sandwich.SolveSelfInfMax(g, gap, opp, sc)
+		sw, err := solver.SolveSelfInfMax(g, gap, opp, sc)
 		if err != nil {
 			return nil, err
 		}
@@ -451,7 +433,7 @@ func Figure8(cfg Config) (*Figure8Result, error) {
 	// CompInfMax stress rows.
 	for _, qba := range []float64{0.1, 0.5, 0.9} {
 		gap := core.GAP{QA0: d.GAP.QA0, QAB: d.GAP.QAB, QB0: 0.1, QBA: qba}
-		sw, err := sandwich.SolveCompInfMax(g, gap, opp, sc)
+		sw, err := solver.SolveCompInfMax(g, gap, opp, sc)
 		if err != nil {
 			return nil, err
 		}

@@ -7,8 +7,8 @@ import (
 	"comic/internal/core"
 	"comic/internal/datasets"
 	"comic/internal/rng"
-	"comic/internal/sandwich"
 	"comic/internal/seeds"
+	"comic/internal/solver"
 	"comic/internal/stats"
 )
 
@@ -114,7 +114,7 @@ func improvementExperiment(cfg Config, regime OppositeRegime) (*ImprovementResul
 
 		// SelfInfMax rows: opposite set seeds B.
 		for _, gap := range selfGAPGrid() {
-			sw, err := sandwich.SolveSelfInfMax(g, gap, opp, cfg.sandwichConfig())
+			sw, err := solver.SolveSelfInfMax(g, gap, opp, cfg.solverConfig())
 			if err != nil {
 				return nil, fmt.Errorf("%s qA0=%v: %w", d.Name, gap.QA0, err)
 			}
@@ -133,7 +133,7 @@ func improvementExperiment(cfg Config, regime OppositeRegime) (*ImprovementResul
 
 		// CompInfMax rows: opposite set seeds A, we pick B seeds.
 		for _, gap := range compGAPGrid() {
-			sw, err := sandwich.SolveCompInfMax(g, gap, opp, cfg.sandwichConfig())
+			sw, err := solver.SolveCompInfMax(g, gap, opp, cfg.solverConfig())
 			if err != nil {
 				return nil, fmt.Errorf("%s qB0=%v: %w", d.Name, gap.QB0, err)
 			}
@@ -345,13 +345,13 @@ func Table8(cfg Config) (*Table8Result, error) {
 			opp := cfg.oppositeSeeds(d.Graph, OppositeNext, cfg.Seed+uint64(di))
 			var ratio float64
 			if set.comp {
-				sw, err := sandwich.SolveCompInfMax(d.Graph, gap, opp, cfg.sandwichConfig())
+				sw, err := solver.SolveCompInfMax(d.Graph, gap, opp, cfg.solverConfig())
 				if err != nil {
 					return nil, fmt.Errorf("%s %s: %w", set.name, d.Name, err)
 				}
 				ratio = sw.UpperRatio
 			} else {
-				sw, err := sandwich.SolveSelfInfMax(d.Graph, gap, opp, cfg.sandwichConfig())
+				sw, err := solver.SolveSelfInfMax(d.Graph, gap, opp, cfg.solverConfig())
 				if err != nil {
 					return nil, fmt.Errorf("%s %s: %w", set.name, d.Name, err)
 				}

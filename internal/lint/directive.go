@@ -22,8 +22,8 @@ Grammar:
 	//comic:timing <reason>            suppress detrand for a wall-clock read,
 	                                   direct or reached through an impure helper
 	//comic:unordered <reason>         suppress maporder for a map iteration
-	//comic:allow <analyzer> <reason>  suppress shadow, lostcancel, nilfunc,
-	                                   errlost, lockorder, fpdet, or copylocks
+	//comic:allow <analyzer> <reason>  suppress shadow, errlost, lockorder,
+	                                   or fpdet
 
 Directives are written like //go: pragmas (no space after the slashes), on
 the line above the statement they excuse or on the statement's line. The

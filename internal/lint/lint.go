@@ -28,8 +28,10 @@
 //   - directive: validates every //comic: directive — known verb, non-empty
 //     reason, attached to a site the corresponding analyzer would actually
 //     consider — so the escape hatch cannot rot.
-//   - shadow, lostcancel, nilfunc, copylocks: lightweight ports of the
-//     corresponding upstream vet passes; they accept //comic:allow.
+//   - shadow: a lightweight port of the upstream pass, which default go vet
+//     does not run; it accepts //comic:allow. (go vet's default suite,
+//     which CI runs as its own step, covers lostcancel, nilfunc and
+//     copylocks.)
 //
 // # Directive grammar
 //
@@ -38,8 +40,8 @@
 //
 //	//comic:timing <reason>            suppress detrand for a (possibly transitive) clock read
 //	//comic:unordered <reason>         suppress maporder for a map loop
-//	//comic:allow <analyzer> <reason>  suppress shadow, lostcancel, nilfunc,
-//	                                   errlost, lockorder, fpdet, or copylocks
+//	//comic:allow <analyzer> <reason>  suppress shadow, errlost, lockorder,
+//	                                   or fpdet
 //
 // A directive takes effect when written on the line immediately above the
 // statement it excuses, on the statement's first line, or (for clock reads
@@ -69,9 +71,6 @@ func Analyzers() []*analysis.Analyzer {
 		FpdetAnalyzer,
 		DirectiveAnalyzer,
 		ShadowAnalyzer,
-		LostcancelAnalyzer,
-		NilfuncAnalyzer,
-		CopylocksAnalyzer,
 	}
 }
 
@@ -99,7 +98,6 @@ func SuggestedDirective(analyzer string) string {
 var criticalRoots = []string{
 	"internal/rrset",
 	"internal/rng",
-	"internal/sandwich",
 	"internal/solver",
 	"internal/montecarlo",
 	"internal/multi",
@@ -194,17 +192,14 @@ func (d directive) valid() bool {
 // core determinism analyzers are deliberately absent: detrand has
 // //comic:timing, maporder has //comic:unordered, and queuepop findings
 // must be fixed. The concurrency-contract passes (lockorder, errlost,
-// fpdet, copylocks) take allow directives because their findings sometimes
+// fpdet) take allow directives because their findings sometimes
 // mark deliberate, documented behavior — a snapshot mutex held across file
 // I/O on purpose, a best-effort cleanup whose error is meaningless.
 var allowableAnalyzers = map[string]bool{
-	"shadow":     true,
-	"lostcancel": true,
-	"nilfunc":    true,
-	"errlost":    true,
-	"lockorder":  true,
-	"fpdet":      true,
-	"copylocks":  true,
+	"shadow":    true,
+	"errlost":   true,
+	"lockorder": true,
+	"fpdet":     true,
 }
 
 // suppressed reports whether a valid directive with the given verb (and, for

@@ -65,7 +65,7 @@ func bad(m map[string]int) int {
 	}
 
 	//comic:allow detrand trying to bypass the determinism contract
-	// want-1 `//comic:allow must name one of copylocks, errlost, fpdet, lockorder, lostcancel, nilfunc, shadow \(got "detrand"\)`
+	// want-1 `//comic:allow must name one of errlost, fpdet, lockorder, shadow \(got "detrand"\)`
 	n++
 
 	//comic:allow shadow
@@ -87,7 +87,5 @@ func concurrency(paths []string) float64 {
 	var sum float64
 	//comic:allow fpdet partials are merged in pinned order by the caller
 	sum += float64(n)
-
-	//comic:allow copylocks the copy happens before the lock is ever used
 	return sum
 }

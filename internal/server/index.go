@@ -41,7 +41,7 @@ import (
 // against the same budget as their collections and evicted with them.
 //
 // An Index implements rrset.CollectionProvider and can be plugged into any
-// solver via sandwich.Config.Collections (or comic.Options.Index).
+// solver via solver.Config.Collections (or comic.Options.Index).
 type Index struct {
 	maxBytes  int64
 	maxOrderK int

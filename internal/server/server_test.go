@@ -13,8 +13,8 @@ import (
 	"time"
 
 	"comic"
-	"comic/internal/sandwich"
 	"comic/internal/server"
+	"comic/internal/solver"
 )
 
 // testDataset is the Flixster stand-in at a laptop-friendly scale; its
@@ -281,13 +281,13 @@ func TestSolveHonorsExplicitSeedZero(t *testing.T) {
 	}
 	// Seed 0 must actually drive the solve: the response must match the
 	// solver invoked directly with master seed 0. (The comic.Options facade
-	// treats 0 as "unset", so go through sandwich.Config, which doesn't.)
-	cfg := sandwich.NewConfig(3)
+	// treats 0 as "unset", so go through solver.Config, which doesn't.)
+	cfg := solver.NewConfig(3)
 	cfg.TIM.FixedTheta = 1500
 	cfg.TIM.MaxTheta = 2_000_000
 	cfg.EvalRuns = 300
 	cfg.Seed = 0
-	offline, err := sandwich.SolveSelfInfMax(d.Graph, d.GAP, []int32{1}, cfg)
+	offline, err := solver.SolveSelfInfMax(d.Graph, d.GAP, []int32{1}, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

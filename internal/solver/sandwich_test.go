@@ -1,4 +1,4 @@
-package sandwich
+package solver
 
 import (
 	"testing"
@@ -12,10 +12,7 @@ import (
 
 func TestSelfBounds(t *testing.T) {
 	gap := core.GAP{QA0: 0.3, QAB: 0.8, QB0: 0.4, QBA: 0.9}
-	lower, upper, err := SelfBounds(gap)
-	if err != nil {
-		t.Fatal(err)
-	}
+	lower, upper := selfBounds(gap)
 	if lower.QBA != gap.QB0 || lower.QB0 != gap.QB0 {
 		t.Fatalf("lower bound wrong: %+v", lower)
 	}
@@ -25,22 +22,13 @@ func TestSelfBounds(t *testing.T) {
 	if !lower.BIndifferentToA() || !upper.BIndifferentToA() {
 		t.Fatal("bounds must make B indifferent to A (RR-SIM soundness)")
 	}
-	if _, _, err := SelfBounds(core.GAP{QA0: 0.8, QAB: 0.3}); err == nil {
-		t.Fatal("SelfBounds accepted a non-Q+ GAP")
-	}
 }
 
 func TestCompUpper(t *testing.T) {
 	gap := core.GAP{QA0: 0.3, QAB: 0.8, QB0: 0.4, QBA: 0.9}
-	upper, err := CompUpper(gap)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if upper.QBA != 1 || upper.QB0 != gap.QB0 {
-		t.Fatalf("CompUpper wrong: %+v", upper)
-	}
-	if _, err := CompUpper(core.GAP{QA0: 0.8, QAB: 0.3}); err == nil {
-		t.Fatal("CompUpper accepted a non-Q+ GAP")
+	upper := compUpper(gap)
+	if upper.QBA != 1 || upper.QB0 != gap.QB0 || upper.QA0 != gap.QA0 || upper.QAB != gap.QAB {
+		t.Fatalf("compUpper wrong: %+v", upper)
 	}
 }
 
@@ -57,10 +45,7 @@ func TestBoundsSandwichSigmaExactly(t *testing.T) {
 			QA0: qa0, QAB: qa0 + (1-qa0)*r.Float64(),
 			QB0: qb0, QBA: qb0 + (1-qb0)*r.Float64(),
 		}
-		lower, upper, err := SelfBounds(gap)
-		if err != nil {
-			t.Fatal(err)
-		}
+		lower, upper := selfBounds(gap)
 		sa, sb := []int32{0}, []int32{1}
 		sLow, err := exact.SigmaA(g, lower, sa, sb)
 		if err != nil {
@@ -91,8 +76,8 @@ func TestSolveSelfInfMaxIndifferentShortCircuit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Chosen != "exact" || len(res.Candidates) != 1 {
-		t.Fatalf("indifferent case should short-circuit: %+v", res)
+	if res.Plan.Algorithm != AlgoRRSIMPlus || res.Chosen != "exact" || len(res.Candidates) != 1 {
+		t.Fatalf("indifferent case should skip the sandwich: %+v", res)
 	}
 	if res.Seeds[0] != 0 {
 		t.Fatalf("expected the hub, got %v", res.Seeds)
@@ -113,6 +98,9 @@ func TestSolveSelfInfMaxSandwich(t *testing.T) {
 	res, err := SolveSelfInfMax(g, gap, []int32{0, 1}, cfg)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if res.Plan.Algorithm != AlgoSandwich {
+		t.Fatalf("strict Q+ routed to %s", res.Plan.Algorithm)
 	}
 	if len(res.Seeds) != 5 {
 		t.Fatalf("got %d seeds", len(res.Seeds))
@@ -181,16 +169,5 @@ func TestSolveCompInfMax(t *testing.T) {
 	}
 	if res.UpperRatio <= 0 || res.UpperRatio > 1.1 {
 		t.Fatalf("ratio %v out of range", res.UpperRatio)
-	}
-}
-
-func TestSolveRejectsNonQPlus(t *testing.T) {
-	g := graph.Path(3, 1)
-	bad := core.GAP{QA0: 0.9, QAB: 0.2, QB0: 0.8, QBA: 0.1}
-	if _, err := SolveSelfInfMax(g, bad, nil, NewConfig(1)); err == nil {
-		t.Fatal("SolveSelfInfMax accepted Q- GAPs")
-	}
-	if _, err := SolveCompInfMax(g, bad, nil, NewConfig(1)); err == nil {
-		t.Fatal("SolveCompInfMax accepted Q- GAPs")
 	}
 }

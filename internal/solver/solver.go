@@ -14,8 +14,7 @@
 //     A indifferent to B — then σ_A does not depend on the B process at all,
 //     so the instance reduces to a B-indifferent one by setting
 //     q_{B|A} := q_{B|∅} — even under competition.
-//   - The sandwich approximation (internal/sandwich, now one strategy behind
-//     this planner rather than the only entry point) for the remaining
+//   - The sandwich approximation of §6.4 (sandwich.go) for the remaining
 //     mutually complementary GAPs, with its Theorem 9 data-dependent factor.
 //   - A CELF-accelerated Monte-Carlo greedy on the original objective for
 //     the regimes with no submodular structure (competition, one-way
@@ -29,8 +28,8 @@
 //     optimal and no simulation needs to run.
 //
 // Every route is deterministic in the master seed and bit-for-bit
-// independent of worker count, like the rest of the codebase; Q+ routes are
-// byte-identical to the pre-planner sandwich entry points (pinned by tests).
+// independent of worker count, like the rest of the codebase; a golden test
+// pins every Q+ route's output bits.
 package solver
 
 import (
@@ -40,7 +39,6 @@ import (
 	"comic/internal/graph"
 	"comic/internal/montecarlo"
 	"comic/internal/rrset"
-	"comic/internal/sandwich"
 	"comic/internal/seeds"
 )
 
@@ -51,9 +49,6 @@ type Algorithm string
 const (
 	// AlgoRRSIMPlus is direct GeneralTIM over exact RR-SIM+ sets.
 	AlgoRRSIMPlus Algorithm = "rr-sim+"
-	// AlgoRRSIM is direct GeneralTIM over exact RR-SIM sets (the
-	// Config.UseSIMPlus=false variant; identical output, slower).
-	AlgoRRSIM Algorithm = "rr-sim"
 	// AlgoSandwich is the §6.4 sandwich approximation: submodular bound
 	// instances solved by TIM, candidates scored under the original GAPs.
 	AlgoSandwich Algorithm = "sandwich"
@@ -101,8 +96,8 @@ const (
 )
 
 // PlanSelfInfMax classifies gap and plans the SelfInfMax route. The
-// returned Algorithm assumes the default RR-SIM+ generator and an enabled
-// greedy fallback; SolveSelfInfMax adjusts for Config.
+// returned Algorithm assumes an enabled greedy fallback (see
+// Config.MaxGreedyNodes).
 func PlanSelfInfMax(gap core.GAP) Plan {
 	p := Plan{Problem: ProblemSelfInfMax, Regime: gap.Regime()}
 	switch {
@@ -111,10 +106,9 @@ func PlanSelfInfMax(gap core.GAP) Plan {
 		p.Guarantee = guaranteeTIM
 		p.Reason = "B is indifferent to A, so RR sets are exact (Theorem 7); TIM runs directly, no sandwich"
 	case gap.MutuallyComplementary():
-		// Q+ routes must stay byte-identical to the pre-planner sandwich
-		// entry point, so the A-indifference reduction below is applied
-		// only outside Q+: inside, the sandwich's lower/upper candidate
-		// race is the historical (and pinned) behavior.
+		// The A-indifference reduction below is applied only outside Q+:
+		// inside, the sandwich's lower/upper candidate race is the
+		// historical (and pinned) behavior.
 		p.Algorithm = AlgoSandwich
 		p.Guarantee = guaranteeSandwich
 		p.Reason = "mutually complementary GAPs: submodular lower/upper bound instances, best candidate under the original objective"
@@ -163,22 +157,18 @@ func (e *UnsupportedRegimeError) Error() string {
 	return fmt.Sprintf("solver: %s has no enabled algorithm for regime %q (Monte-Carlo greedy fallback disabled)", e.Problem, e.Regime)
 }
 
-// Config tunes the planner and its strategies. It is a superset of
-// sandwich.Config: the sandwich fields keep their exact meaning (and Q+
-// routes produce byte-identical results to calling internal/sandwich
-// directly), and the greedy fields tune the non-submodular fallback.
+// Config tunes the planner and its strategies.
 type Config struct {
 	// K is the seed-set cardinality constraint.
 	K int
-	// TIM configures GeneralTIM for the exact and bound subproblems.
+	// TIM configures GeneralTIM for the exact and bound subproblems. Its
+	// Workers also bounds Monte-Carlo scoring on every route.
 	TIM rrset.Options
 	// EvalRuns is the Monte-Carlo budget for scoring each candidate under
-	// the original GAPs (default 10000).
+	// the original GAPs (paper: 10K; default 10000).
 	EvalRuns int
 	// Seed drives all randomness.
 	Seed uint64
-	// UseSIMPlus selects RR-SIM+ over RR-SIM (default on via NewConfig).
-	UseSIMPlus bool
 	// IncludeGreedy additionally runs the Monte-Carlo greedy candidate on
 	// Q+ sandwich routes (Eq. 5's S_σ). Expensive; off by default. The
 	// greedy fallback for non-submodular regimes runs regardless.
@@ -193,17 +183,22 @@ type Config struct {
 	// vector for a serving deployment. Negative disables the fallback
 	// entirely: regimes that need it fail with UnsupportedRegimeError.
 	MaxGreedyNodes int
-	// Collections optionally supplies RR-set collections (a shared cache
-	// such as internal/server.Index). nil builds directly.
+	// Collections, when non-nil, supplies the RR-set collections of the
+	// exact and bound subproblems (typically a shared cache such as
+	// internal/server.Index). nil builds each collection directly. The
+	// selected seeds are identical either way; only where the RR sets
+	// come from changes.
 	Collections rrset.CollectionProvider
-	// GraphID names the graph in collection cache keys (see
-	// sandwich.Config.GraphID).
+	// GraphID names the graph in collection cache keys. Empty falls back
+	// to graph pointer identity (collision-free, but cache hits then
+	// require the same *graph.Graph instance). Ignored when Collections
+	// is nil.
 	GraphID string
 }
 
 // NewConfig returns a Config with the paper's defaults.
 func NewConfig(k int) Config {
-	return Config{K: k, EvalRuns: 10000, UseSIMPlus: true, GreedyRuns: 200}
+	return Config{K: k, EvalRuns: 10000, GreedyRuns: 200}
 }
 
 // DefaultMaxGreedyNodes is the ground-set cap applied when
@@ -223,210 +218,236 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// sandwichConfig converts the shared fields for delegation to the sandwich
-// strategy.
-func (c Config) sandwichConfig() sandwich.Config {
-	return sandwich.Config{
-		K:             c.K,
-		TIM:           c.TIM,
-		EvalRuns:      c.EvalRuns,
-		Seed:          c.Seed,
-		UseSIMPlus:    c.UseSIMPlus,
-		IncludeGreedy: c.IncludeGreedy,
-		GreedyRuns:    c.GreedyRuns,
-		Collections:   c.Collections,
-		GraphID:       c.GraphID,
-	}
+// Offsets XORed into the master seed to give each kind of Monte-Carlo
+// estimate in a solve its own random streams.
+const (
+	// evalStream scores candidates under the original GAPs.
+	evalStream = 0xe7a1
+	// greedyStream drives the greedy's objective evaluations.
+	greedyStream = 0x9eedd
+	// upperStream estimates ν(S_ν), the denominator of UpperRatio.
+	upperStream = 0xfaceb
+)
+
+// Candidate is one seed set a route considered.
+type Candidate struct {
+	Name      string // "lower", "upper", "greedy", or "exact"
+	Seeds     []int32
+	Objective float64 // MC estimate under the ORIGINAL GAPs
+	Stats     *rrset.Stats
 }
 
-func (c Config) selfKind() rrset.Kind {
-	if c.UseSIMPlus {
-		return rrset.KindSIMPlus
-	}
-	return rrset.KindSIM
-}
-
-// Result is the outcome of a planned solve: the chosen seeds and candidates
-// (sandwich.Result, so Q+ callers see exactly what they always did) plus
-// the Plan that produced them.
+// Result is the outcome of a planned solve: the chosen seeds, every
+// candidate considered, and the Plan that produced them.
 type Result struct {
-	sandwich.Result
-	Plan Plan
+	Seeds      []int32
+	Objective  float64
+	Chosen     string
+	Candidates []Candidate
+	// UpperRatio is σ(S_ν)/ν(S_ν), the computable part of Theorem 9's
+	// data-dependent factor (Table 8): 1 on the exact routes, 0 on the
+	// greedy fallback or when ν(S_ν) is 0.
+	UpperRatio float64
+	Plan       Plan
 }
 
-func checkSeedRange(what string, s []int32, n int) error {
-	for _, v := range s {
-		if v < 0 || v >= int32(n) {
-			return fmt.Errorf("solver: %s node %d out of range [0,%d)", what, v, n)
+// pickBest returns the result of Eq. 5: the best-scoring candidate (the
+// first on a tie) becomes the answer.
+func pickBest(cands []Candidate) *Result {
+	best := cands[0]
+	for _, c := range cands[1:] {
+		if c.Objective > best.Objective {
+			best = c
 		}
+	}
+	return &Result{Seeds: best.Seeds, Objective: best.Objective, Chosen: best.Name, Candidates: cands}
+}
+
+// estimator returns a Monte-Carlo estimator for gap on g whose parallelism
+// is bounded like RR-set generation's. Estimates do not depend on it.
+func (c Config) estimator(g *graph.Graph, gap core.GAP) *montecarlo.Estimator {
+	est := montecarlo.New(g, gap)
+	est.Workers = c.TIM.Workers
+	return est
+}
+
+// selfScore returns σ_A(·, seedsB) at the evaluation budget: the score
+// every SelfInfMax candidate is ranked by.
+func (c Config) selfScore(est *montecarlo.Estimator, seedsB []int32) func([]int32) float64 {
+	return func(s []int32) float64 {
+		return est.SpreadA(s, seedsB, c.EvalRuns, c.Seed^evalStream)
+	}
+}
+
+// compScore returns the paired-world boost σ_A(seedsA, ·) − σ_A(seedsA, ∅)
+// at the evaluation budget: the score every CompInfMax candidate is ranked
+// by.
+func (c Config) compScore(est *montecarlo.Estimator, seedsA []int32) func([]int32) float64 {
+	return func(s []int32) float64 {
+		if len(s) == 0 {
+			return 0
+		}
+		b, _ := est.BoostPaired(seedsA, s, c.EvalRuns, c.Seed^evalStream)
+		return b
+	}
+}
+
+// selfGreedyObjective is σ_A(·, seedsB) at the greedy budget.
+func (c Config) selfGreedyObjective(est *montecarlo.Estimator, seedsB []int32) func([]int32) float64 {
+	return func(s []int32) float64 {
+		return est.SpreadA(s, seedsB, c.GreedyRuns, c.Seed^greedyStream)
+	}
+}
+
+// compGreedyObjective is the paired-world boost at the greedy budget. Every
+// greedy evaluation shares the fixed S_A, worlds and seed, so the S_B = ∅
+// baseline cascades are computed once up front instead of inside each of
+// the greedy's evaluations. Results are bit-identical to calling
+// BoostPaired per evaluation.
+func (c Config) compGreedyObjective(est *montecarlo.Estimator, seedsA []int32) func([]int32) float64 {
+	baseline := est.PairedBaselineA(seedsA, c.GreedyRuns, c.Seed^greedyStream)
+	return func(s []int32) float64 {
+		if len(s) == 0 {
+			return 0
+		}
+		b, _ := est.BoostPairedFromBaseline(seedsA, s, baseline, c.GreedyRuns, c.Seed^greedyStream)
+		return b
+	}
+}
+
+// selectSeeds resolves one exact or bound subproblem's RR-set collection
+// through the configured provider (or a direct build when none is set) and
+// selects the top-K seeds, routing through the provider's memoized seed
+// ordering when it keeps one (rrset.SeedSelector). The seeds are identical
+// either way.
+func (c Config) selectSeeds(g *graph.Graph, kind rrset.Kind, gap core.GAP, opposite []int32, seed uint64) ([]int32, *rrset.Stats, error) {
+	return rrset.ObtainSeeds(c.Collections, rrset.CollectionRequest{
+		GraphID:  c.GraphID,
+		Graph:    g,
+		Kind:     kind,
+		GAP:      gap,
+		Opposite: opposite,
+		K:        c.K,
+		Opts:     c.TIM,
+		Seed:     seed,
+	}, g.N(), c.K)
+}
+
+// admit validates a request and refuses a plan whose algorithm is
+// disabled.
+func (c Config) admit(g *graph.Graph, gap core.GAP, what string, opposite []int32, plan Plan) error {
+	if err := gap.Validate(); err != nil {
+		return err
+	}
+	for _, v := range opposite {
+		if v < 0 || v >= int32(g.N()) {
+			return fmt.Errorf("solver: %s node %d out of range [0,%d)", what, v, g.N())
+		}
+	}
+	if plan.Algorithm == AlgoMCGreedy && c.MaxGreedyNodes < 0 {
+		return &UnsupportedRegimeError{Problem: plan.Problem, Regime: plan.Regime}
 	}
 	return nil
 }
 
 // SolveSelfInfMax plans and solves Problem 1 for any GAP in the model's
-// domain. Mutually complementary requests return byte-identical results to
-// sandwich.SolveSelfInfMax; everything else is new traffic served by the
-// exact-reduction or greedy routes.
+// domain.
 func SolveSelfInfMax(g *graph.Graph, gap core.GAP, seedsB []int32, cfg Config) (*Result, error) {
 	cfg = cfg.withDefaults()
-	if err := gap.Validate(); err != nil {
-		return nil, err
-	}
-	if err := checkSeedRange("seedsB", seedsB, g.N()); err != nil {
-		return nil, err
-	}
 	plan := PlanSelfInfMax(gap)
-	if !cfg.UseSIMPlus && plan.Algorithm == AlgoRRSIMPlus {
-		plan.Algorithm = AlgoRRSIM
+	if err := cfg.admit(g, gap, "seedsB", seedsB, plan); err != nil {
+		return nil, err
 	}
+	var res *Result
+	var err error
 	switch plan.Algorithm {
 	case AlgoSandwich:
-		sres, err := sandwich.SolveSelfInfMax(g, gap, seedsB, cfg.sandwichConfig())
-		if err != nil {
-			return nil, err
-		}
-		return &Result{Result: *sres, Plan: plan}, nil
-	case AlgoRRSIMPlus, AlgoRRSIM:
-		// The GAP the RR sets are built under: already B-indifferent in the
-		// Theorem 7 case; otherwise (A indifferent to B) the B process is
-		// irrelevant to sigma_A, so q_{B|A} := q_{B|0} yields an equivalent
-		// instance RR-SIM accepts. The reduction changes nothing the RR sets
-		// can observe — with q_{A|0} == q_{A|B}, a root's adoption test is
-		// the same whether or not it is B-adopted.
-		buildGAP := gap
-		if !gap.BIndifferentToA() {
-			buildGAP.QBA = buildGAP.QB0
-		}
-		res, err := solveExactTIM(g, gap, buildGAP, seedsB, cfg)
-		if err != nil {
-			return nil, err
-		}
-		res.Plan = plan
-		return res, nil
+		res, err = sandwichSelf(g, gap, seedsB, cfg)
+	case AlgoRRSIMPlus:
+		res, err = solveExactTIM(g, gap, seedsB, cfg)
 	default: // AlgoMCGreedy
-		if cfg.MaxGreedyNodes < 0 {
-			return nil, &UnsupportedRegimeError{Problem: plan.Problem, Regime: plan.Regime}
-		}
-		est := montecarlo.New(g, gap)
-		est.Workers = cfg.TIM.Workers
-		objective := func(s []int32) float64 {
-			return est.SpreadA(s, seedsB, cfg.GreedyRuns, cfg.Seed^0x9eedd)
-		}
-		evalObjective := func(s []int32) float64 {
-			return est.SpreadA(s, seedsB, cfg.EvalRuns, cfg.Seed^0xe7a1)
-		}
-		res := solveGreedy(g, objective, evalObjective, cfg)
-		res.Plan = plan
-		return res, nil
+		est := cfg.estimator(g, gap)
+		res = solveGreedy(g, cfg.selfGreedyObjective(est, seedsB), cfg.selfScore(est, seedsB), cfg)
 	}
+	if err != nil {
+		return nil, err
+	}
+	res.Plan = plan
+	return res, nil
 }
 
 // SolveCompInfMax plans and solves Problem 2 for any GAP in the model's
-// domain. Mutually complementary requests return byte-identical results to
-// sandwich.SolveCompInfMax.
+// domain.
 func SolveCompInfMax(g *graph.Graph, gap core.GAP, seedsA []int32, cfg Config) (*Result, error) {
 	cfg = cfg.withDefaults()
-	if err := gap.Validate(); err != nil {
-		return nil, err
-	}
-	if err := checkSeedRange("seedsA", seedsA, g.N()); err != nil {
-		return nil, err
-	}
 	plan := PlanCompInfMax(gap)
+	if err := cfg.admit(g, gap, "seedsA", seedsA, plan); err != nil {
+		return nil, err
+	}
+	var res *Result
+	var err error
 	switch plan.Algorithm {
 	case AlgoSandwich:
-		sres, err := sandwich.SolveCompInfMax(g, gap, seedsA, cfg.sandwichConfig())
-		if err != nil {
-			return nil, err
-		}
-		return &Result{Result: *sres, Plan: plan}, nil
+		res, err = sandwichComp(g, gap, seedsA, cfg)
 	case AlgoZeroBoost:
-		k := min(cfg.K, g.N())
-		if k < 0 {
-			k = 0
-		}
+		k := max(min(cfg.K, g.N()), 0)
 		sel := make([]int32, k)
 		for i := range sel {
 			sel[i] = int32(i)
 		}
-		res := &Result{Plan: plan}
-		res.Candidates = []sandwich.Candidate{{Name: "exact", Seeds: sel, Objective: 0}}
-		res.Seeds, res.Objective, res.Chosen = sel, 0, "exact"
+		res = pickBest([]Candidate{{Name: "exact", Seeds: sel, Objective: 0}})
 		// The "bound" here is the objective itself: the selection is
-		// exactly optimal, mirroring the exact branch's ratio of 1.
+		// exactly optimal, mirroring the exact route's ratio of 1.
 		res.UpperRatio = 1
-		return res, nil
 	default: // AlgoMCGreedy
-		if cfg.MaxGreedyNodes < 0 {
-			return nil, &UnsupportedRegimeError{Problem: plan.Problem, Regime: plan.Regime}
-		}
-		est := montecarlo.New(g, gap)
-		est.Workers = cfg.TIM.Workers
-		// Every greedy evaluation shares the fixed S_A, worlds and seed, so
-		// the S_B = ∅ baseline cascades are computed once up front instead
-		// of inside each of the ~MaxGreedyNodes evaluations. Results are
-		// bit-identical to calling BoostPaired per evaluation.
-		baseline := est.PairedBaselineA(seedsA, cfg.GreedyRuns, cfg.Seed^0x9eedd)
-		objective := func(s []int32) float64 {
-			if len(s) == 0 {
-				return 0
-			}
-			b, _ := est.BoostPairedFromBaseline(seedsA, s, baseline, cfg.GreedyRuns, cfg.Seed^0x9eedd)
-			return b
-		}
-		evalObjective := func(s []int32) float64 {
-			if len(s) == 0 {
-				return 0
-			}
-			b, _ := est.BoostPaired(seedsA, s, cfg.EvalRuns, cfg.Seed^0xe7a1)
-			return b
-		}
-		res := solveGreedy(g, objective, evalObjective, cfg)
-		res.Plan = plan
-		return res, nil
+		est := cfg.estimator(g, gap)
+		res = solveGreedy(g, cfg.compGreedyObjective(est, seedsA), cfg.compScore(est, seedsA), cfg)
 	}
-}
-
-// solveExactTIM is the direct (sandwich-free) route: one exact RR-set
-// collection, one max-coverage selection, one Monte-Carlo scoring pass
-// under the original GAPs. For B-indifferent Q+ GAPs it reproduces the
-// sandwich exact branch byte for byte — same collection request (and hence
-// same cache key), same evaluation seed, same candidate shape.
-func solveExactTIM(g *graph.Graph, gap, buildGAP core.GAP, seedsB []int32, cfg Config) (*Result, error) {
-	sel, st, err := rrset.ObtainSeeds(cfg.Collections, rrset.CollectionRequest{
-		GraphID:  cfg.GraphID,
-		Graph:    g,
-		Kind:     cfg.selfKind(),
-		GAP:      buildGAP,
-		Opposite: seedsB,
-		K:        cfg.K,
-		Opts:     cfg.TIM,
-		Seed:     cfg.Seed,
-	}, g.N(), cfg.K)
 	if err != nil {
 		return nil, err
 	}
-	est := montecarlo.New(g, gap)
-	obj := est.SpreadA(sel, seedsB, cfg.EvalRuns, cfg.Seed^0xe7a1)
-	res := &Result{}
-	res.Candidates = []sandwich.Candidate{{Name: "exact", Seeds: sel, Objective: obj, Stats: st}}
-	res.Seeds, res.Objective, res.Chosen = sel, obj, "exact"
+	res.Plan = plan
+	return res, nil
+}
+
+// solveExactTIM is the direct (sandwich-free) route: one exact RR-SIM+
+// collection, one max-coverage selection, one Monte-Carlo scoring pass
+// under the original GAPs.
+func solveExactTIM(g *graph.Graph, gap core.GAP, seedsB []int32, cfg Config) (*Result, error) {
+	// The GAP the RR sets are built under: already B-indifferent in the
+	// Theorem 7 case; otherwise (A indifferent to B) the B process is
+	// irrelevant to sigma_A, so q_{B|A} := q_{B|0} yields an equivalent
+	// instance RR-SIM accepts. The reduction changes nothing the RR sets
+	// can observe — with q_{A|0} == q_{A|B}, a root's adoption test is
+	// the same whether or not it is B-adopted.
+	buildGAP := gap
+	if !gap.BIndifferentToA() {
+		buildGAP.QBA = buildGAP.QB0
+	}
+	sel, st, err := cfg.selectSeeds(g, rrset.KindSIMPlus, buildGAP, seedsB, cfg.Seed)
+	if err != nil {
+		return nil, err
+	}
+	score := cfg.selfScore(cfg.estimator(g, gap), seedsB)
+	res := pickBest([]Candidate{{Name: "exact", Seeds: sel, Objective: score(sel), Stats: st}})
 	res.UpperRatio = 1
 	return res, nil
+}
+
+// greedyCandidate runs the CELF Monte-Carlo greedy on objective over the
+// ground set (nil: every node) and scores its pick.
+func greedyCandidate(g *graph.Graph, objective, score func([]int32) float64, k int, ground []int32) Candidate {
+	sel := seeds.Greedy(g, objective, k, ground)
+	return Candidate{Name: "greedy", Seeds: sel, Objective: score(sel)}
 }
 
 // solveGreedy runs the CELF Monte-Carlo greedy fallback over a ground set
 // capped to the highest-out-degree nodes (never fewer than K, so the result
 // always has K seeds when the graph does).
-func solveGreedy(g *graph.Graph, objective, evalObjective func([]int32) float64, cfg Config) *Result {
-	var candidates []int32
+func solveGreedy(g *graph.Graph, objective, score func([]int32) float64, cfg Config) *Result {
+	var ground []int32
 	if cfg.MaxGreedyNodes < g.N() {
-		candidates = graph.TopKByDegree(g, max(cfg.MaxGreedyNodes, cfg.K))
+		ground = graph.TopKByDegree(g, max(cfg.MaxGreedyNodes, cfg.K))
 	}
-	sel := seeds.Greedy(g, objective, cfg.K, candidates)
-	obj := evalObjective(sel)
-	res := &Result{}
-	res.Candidates = []sandwich.Candidate{{Name: "greedy", Seeds: sel, Objective: obj}}
-	res.Seeds, res.Objective, res.Chosen = sel, obj, "greedy"
-	return res
+	return pickBest([]Candidate{greedyCandidate(g, objective, score, cfg.K, ground)})
 }

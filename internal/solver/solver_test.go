@@ -11,7 +11,6 @@ import (
 	"comic/internal/graph"
 	"comic/internal/rng"
 	"comic/internal/rrset"
-	"comic/internal/sandwich"
 )
 
 func TestPlannerRoutes(t *testing.T) {
@@ -65,67 +64,135 @@ func testConfig(k int) Config {
 	return cfg
 }
 
-// stripTimings returns a copy of r with the wall-clock duration fields of
-// every candidate's Stats zeroed, so byte-identity comparisons see only the
-// deterministic content.
-func stripTimings(r sandwich.Result) sandwich.Result {
-	out := r
-	out.Candidates = append([]sandwich.Candidate(nil), r.Candidates...)
-	for i, c := range out.Candidates {
-		if c.Stats == nil {
-			continue
-		}
-		st := *c.Stats
-		st.KPTDuration, st.GenDuration, st.SelectDuration = 0, 0, 0
-		out.Candidates[i].Stats = &st
-	}
-	return out
+// goldenCandidate pins one candidate of a solve: its name, seeds, Monte-Carlo
+// objective under the original GAPs, and θ (0 for a candidate without RR-set
+// stats).
+type goldenCandidate struct {
+	name      string
+	seeds     []int32
+	objective float64
+	theta     int
 }
 
-// TestQPlusParityWithSandwich is the planner-vs-oracle property the refactor
-// must preserve: for every mutually complementary GAP, the planner's result
-// is byte-identical to calling the sandwich entry points directly —
-// identical seeds, objectives, candidates, chosen name, and ratio.
-func TestQPlusParityWithSandwich(t *testing.T) {
-	g := graph.PowerLaw(300, 6, 2.16, true, rng.New(31))
+// goldenSolve pins a whole solve result.
+type goldenSolve struct {
+	seeds      []int32
+	chosen     string
+	upperRatio float64
+	candidates []goldenCandidate
+}
+
+func checkGolden(t *testing.T, what string, got *Result, want goldenSolve) {
+	t.Helper()
+	if !reflect.DeepEqual(got.Seeds, want.seeds) || got.Chosen != want.chosen || got.UpperRatio != want.upperRatio {
+		t.Errorf("%s: got seeds %v chosen %q ratio %v, want %v %q %v",
+			what, got.Seeds, got.Chosen, got.UpperRatio, want.seeds, want.chosen, want.upperRatio)
+	}
+	if len(got.Candidates) != len(want.candidates) {
+		t.Fatalf("%s: %d candidates, want %d", what, len(got.Candidates), len(want.candidates))
+	}
+	for i, c := range got.Candidates {
+		theta := 0
+		if c.Stats != nil {
+			theta = c.Stats.Theta
+		}
+		w := want.candidates[i]
+		if c.Name != w.name || !reflect.DeepEqual(c.Seeds, w.seeds) || c.Objective != w.objective || theta != w.theta {
+			t.Errorf("%s: candidate %d = {%q %v %v θ=%d}, want {%q %v %v θ=%d}",
+				what, i, c.Name, c.Seeds, c.Objective, theta, w.name, w.seeds, w.objective, w.theta)
+		}
+	}
+}
+
+// TestQPlusGolden pins every mutually complementary route — the sandwich
+// for strict Q+ and A-indifferent GAPs, the exact route for B-indifferent
+// ones, and the IncludeGreedy candidate — to exact float64 bits: seeds,
+// chosen candidate, ratio, and every candidate's objective and θ. The graph
+// comes from ErdosRenyi and AssignWeightedCascade, which never call the
+// math library, and θ is fixed, so the pinned bits hold on every Go
+// toolchain.
+func TestQPlusGolden(t *testing.T) {
+	g := graph.ErdosRenyi(300, 1800, rng.New(31))
 	graph.AssignWeightedCascade(g)
 	gaps := []core.GAP{
 		{QA0: 0.3, QAB: 0.8, QB0: 0.4, QBA: 0.9}, // strict Q+
-		{QA0: 0.5, QAB: 0.9, QB0: 0.6, QBA: 0.6}, // B-indifferent (exact branch)
+		{QA0: 0.5, QAB: 0.9, QB0: 0.6, QBA: 0.6}, // B-indifferent (exact route)
 		{QA0: 0.5, QAB: 0.5, QB0: 0.4, QBA: 0.9}, // A-indifferent, inside Q+
 		{QA0: 0.4, QAB: 0.4, QB0: 0.6, QBA: 0.6}, // mutual indifference
 		core.ClassicIC(),
 	}
+	cases := []struct {
+		gap        int
+		greedy     bool
+		self, comp goldenSolve
+	}{
+		{gap: 0, greedy: false,
+			self: goldenSolve{[]int32{1, 2, 0, 250}, "upper", 0.5440675657267402, []goldenCandidate{
+				{"lower", []int32{109, 71, 152, 296}, 7.324, 2000},
+				{"upper", []int32{1, 2, 0, 250}, 7.988, 2000},
+			}},
+			comp: goldenSolve{[]int32{50, 195, 1, 2}, "upper", 1.099820143884892, []goldenCandidate{
+				{"upper", []int32{50, 195, 1, 2}, 2.446, 2000},
+			}}},
+		{gap: 0, greedy: true,
+			self: goldenSolve{[]int32{1, 2, 228, 195}, "greedy", 0.5440675657267402, []goldenCandidate{
+				{"lower", []int32{109, 71, 152, 296}, 7.324, 2000},
+				{"upper", []int32{1, 2, 0, 250}, 7.988, 2000},
+				{"greedy", []int32{1, 2, 228, 195}, 8.526, 0},
+			}},
+			comp: goldenSolve{[]int32{2, 0, 1, 123}, "greedy", 1.099820143884892, []goldenCandidate{
+				{"upper", []int32{50, 195, 1, 2}, 2.446, 2000},
+				{"greedy", []int32{2, 0, 1, 123}, 2.596, 0},
+			}}},
+		{gap: 1, greedy: false,
+			self: goldenSolve{[]int32{2, 71, 1, 152}, "exact", 1, []goldenCandidate{
+				{"exact", []int32{2, 71, 1, 152}, 13.81, 2000},
+			}},
+			comp: goldenSolve{[]int32{2, 1, 0, 50}, "upper", 0.6910223732653639, []goldenCandidate{
+				{"upper", []int32{2, 1, 0, 50}, 4.88, 2000},
+			}}},
+		{gap: 2, greedy: false,
+			self: goldenSolve{[]int32{215, 25, 154, 13}, "upper", 1.0023410768953718, []goldenCandidate{
+				{"lower", []int32{71, 152, 109, 296}, 10.07, 2000},
+				{"upper", []int32{215, 25, 154, 13}, 11.132, 2000},
+			}},
+			comp: goldenSolve{[]int32{0, 1, 2, 3}, "upper", 0, []goldenCandidate{
+				{"upper", []int32{0, 1, 2, 3}, 0, 2000},
+			}}},
+		{gap: 3, greedy: false,
+			self: goldenSolve{[]int32{71, 109, 296, 128}, "exact", 1, []goldenCandidate{
+				{"exact", []int32{71, 109, 296, 128}, 8.076, 2000},
+			}},
+			comp: goldenSolve{[]int32{0, 1, 2, 3}, "upper", 0, []goldenCandidate{
+				{"upper", []int32{0, 1, 2, 3}, 0, 2000},
+			}}},
+		{gap: 4, greedy: false,
+			self: goldenSolve{[]int32{28, 55, 54, 215}, "exact", 1, []goldenCandidate{
+				{"exact", []int32{28, 55, 54, 215}, 60.832, 2000},
+			}},
+			comp: goldenSolve{[]int32{0, 1, 2, 3}, "upper", 0, []goldenCandidate{
+				{"upper", []int32{0, 1, 2, 3}, 0, 2000},
+			}}},
+	}
 	opp := []int32{0, 1, 2}
-	for i, gap := range gaps {
+	for _, tc := range cases {
+		gap := gaps[tc.gap]
+		if !gap.Regime().InQPlus() {
+			t.Fatalf("gap %d: regime %v not in Q+", tc.gap, gap.Regime())
+		}
 		cfg := testConfig(4)
+		cfg.IncludeGreedy = tc.greedy
+		cfg.GreedyRuns = 50
 		res, err := SolveSelfInfMax(g, gap, opp, cfg)
 		if err != nil {
-			t.Fatalf("gap %d: solver self: %v", i, err)
+			t.Fatalf("gap %d: self: %v", tc.gap, err)
 		}
-		want, err := sandwich.SolveSelfInfMax(g, gap, opp, cfg.sandwichConfig())
-		if err != nil {
-			t.Fatalf("gap %d: sandwich self: %v", i, err)
-		}
-		if !res.Plan.Regime.InQPlus() {
-			t.Fatalf("gap %d: regime %v not in Q+", i, res.Plan.Regime)
-		}
-		if !reflect.DeepEqual(stripTimings(res.Result), stripTimings(*want)) {
-			t.Fatalf("gap %d (%+v): planner self result diverged from sandwich:\n got %+v\nwant %+v",
-				i, gap, res.Result, *want)
-		}
-
+		checkGolden(t, fmt.Sprintf("gap %d greedy=%v self", tc.gap, tc.greedy), res, tc.self)
 		cres, err := SolveCompInfMax(g, gap, opp, cfg)
 		if err != nil {
-			t.Fatalf("gap %d: solver comp: %v", i, err)
+			t.Fatalf("gap %d: comp: %v", tc.gap, err)
 		}
-		cwant, err := sandwich.SolveCompInfMax(g, gap, opp, cfg.sandwichConfig())
-		if err != nil {
-			t.Fatalf("gap %d: sandwich comp: %v", i, err)
-		}
-		if !reflect.DeepEqual(stripTimings(cres.Result), stripTimings(*cwant)) {
-			t.Fatalf("gap %d (%+v): planner comp result diverged from sandwich", i, gap)
-		}
+		checkGolden(t, fmt.Sprintf("gap %d greedy=%v comp", tc.gap, tc.greedy), cres, tc.comp)
 	}
 }
 
@@ -289,7 +356,7 @@ func TestCompZeroBoostShortCircuit(t *testing.T) {
 		t.Fatalf("unexpected plan %+v", res.Plan)
 	}
 	if fmt.Sprint(res.Seeds) != "[0 1 2]" || res.Objective != 0 || res.Chosen != "exact" {
-		t.Fatalf("zero-boost result wrong: %+v", res.Result)
+		t.Fatalf("zero-boost result wrong: %+v", res)
 	}
 	// Cross-check the claim with the Monte-Carlo boost estimator: no B-seed
 	// set can move sigma_A when A is indifferent to B.
@@ -306,26 +373,65 @@ func TestCompZeroBoostShortCircuit(t *testing.T) {
 	}
 }
 
-// TestGreedyWorkerCountIndependence: the greedy route must be bit-for-bit
-// identical for every worker count, like every other solver path.
+// stripTimings returns a copy of r with the wall-clock duration fields of
+// every candidate's Stats zeroed, so comparisons see only the deterministic
+// content.
+func stripTimings(r *Result) *Result {
+	out := *r
+	out.Candidates = append([]Candidate(nil), r.Candidates...)
+	for i, c := range out.Candidates {
+		if c.Stats == nil {
+			continue
+		}
+		st := *c.Stats
+		st.KPTDuration, st.GenDuration, st.SelectDuration = 0, 0, 0
+		out.Candidates[i].Stats = &st
+	}
+	return &out
+}
+
+// TestGreedyWorkerCountIndependence: every route — the greedy fallback, the
+// sandwich for both problems, and the exact route — must be bit-for-bit
+// identical for every worker count, and the worker count must reach the
+// Monte-Carlo scoring that dominates a solve.
 func TestGreedyWorkerCountIndependence(t *testing.T) {
 	g := graph.PowerLaw(120, 5, 2.16, true, rng.New(9))
 	graph.AssignWeightedCascade(g)
-	gap := core.PureCompetition()
-	var first *Result
-	for _, workers := range []int{1, 3, 7} {
-		cfg := testConfig(3)
-		cfg.TIM.Workers = workers
-		res, err := SolveSelfInfMax(g, gap, []int32{5}, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if first == nil {
-			first = res
-			continue
-		}
-		if !reflect.DeepEqual(res, first) {
-			t.Fatalf("workers=%d diverged: %+v vs %+v", workers, res.Result, first.Result)
+	self, comp := SolveSelfInfMax, SolveCompInfMax
+	cases := []struct {
+		name  string
+		solve func(*graph.Graph, core.GAP, []int32, Config) (*Result, error)
+		gap   core.GAP
+		algo  Algorithm
+	}{
+		{"greedy self", self, core.PureCompetition(), AlgoMCGreedy},
+		{"strict Q+ self", self, core.GAP{QA0: 0.3, QAB: 0.8, QB0: 0.4, QBA: 0.9}, AlgoSandwich},
+		{"strict Q+ comp", comp, core.GAP{QA0: 0.3, QAB: 0.8, QB0: 0.4, QBA: 0.9}, AlgoSandwich},
+		{"B-indifferent self", self, core.GAP{QA0: 0.5, QAB: 0.9, QB0: 0.6, QBA: 0.6}, AlgoRRSIMPlus},
+	}
+	for _, tc := range cases {
+		var first *Result
+		for _, workers := range []int{1, 3, 7} {
+			cfg := testConfig(3)
+			cfg.TIM.Workers = workers
+			if est := cfg.estimator(g, tc.gap); est.Workers != workers {
+				t.Fatalf("%s: estimator runs %d workers, want %d", tc.name, est.Workers, workers)
+			}
+			res, err := tc.solve(g, tc.gap, []int32{5}, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Plan.Algorithm != tc.algo {
+				t.Fatalf("%s: routed to %s, want %s", tc.name, res.Plan.Algorithm, tc.algo)
+			}
+			res = stripTimings(res)
+			if first == nil {
+				first = res
+				continue
+			}
+			if !reflect.DeepEqual(res, first) {
+				t.Fatalf("%s: workers=%d diverged: %+v vs %+v", tc.name, workers, res, first)
+			}
 		}
 	}
 }
