@@ -4,8 +4,6 @@ import (
 	"container/list"
 	"errors"
 	"fmt"
-	"os"
-	"path/filepath"
 	"sort"
 	"sync"
 	"time"
@@ -46,17 +44,12 @@ type Index struct {
 	maxBytes  int64
 	maxOrderK int
 	sem       chan struct{} // non-nil: bounds concurrent builds (SetBuildLimit)
-	// recordPostings makes every build attach the per-set examination
-	// index (rrset.Options.RecordPostings), enabling incremental repair
-	// after graph edits (RepairGraph). On by default; SetRecordPostings
-	// turns it off for memory-constrained deployments, at the cost of
-	// every PATCH falling back to dropping the graph's collections.
-	recordPostings bool
 
-	// snapMu serializes snapshot-directory file operations (SaveSnapshot,
-	// LoadSnapshot, the entry-file deletions of DropGraph). It is never
-	// held while acquiring mu's critical sections' callees, and mu is never
-	// held while acquiring snapMu — lock order is snapMu before mu.
+	// snapMu serializes snapshot I/O (SaveSnapshot, LoadSnapshot,
+	// PublishGraph, AdoptGraph, and the object deletions of DropGraph and
+	// RepairGraph). It is never held while acquiring mu's critical
+	// sections' callees, and mu is never held while acquiring snapMu —
+	// lock order is snapMu before mu.
 	snapMu sync.Mutex
 
 	mu          sync.Mutex
@@ -66,7 +59,7 @@ type Index struct {
 	lru         *list.List               // front = most recently used
 	inflight    map[string]*flight
 	orderFlight map[string]*orderFlight
-	snapDir     string // last SaveSnapshot/LoadSnapshot directory; "" = none
+	snapStore   SnapshotStore // last SaveSnapshot/LoadSnapshot directory; nil = none
 	stats       IndexStats
 }
 
@@ -129,11 +122,12 @@ type IndexStats struct {
 	// failed ones (the periodic snapshot loop surfaces failures here).
 	Snapshots      int64 `json:"snapshots"`
 	SnapshotErrors int64 `json:"snapshotErrors"`
-	// Restores counts collections rehydrated by LoadSnapshot;
-	// RestoreRejects counts snapshot entries it refused — corrupt,
-	// truncated, wrong format version, keyed to an unknown or mismatched
-	// graph, or beyond the byte budget. A rejected entry is skipped, never
-	// served.
+	// Restores counts collections rehydrated by LoadSnapshot or
+	// AdoptGraph; RestoreRejects counts what they refused — a torn,
+	// wrong-version or out-of-scope manifest, or an entry that is corrupt,
+	// truncated, of the wrong format version, keyed to an unknown or
+	// mismatched graph, or beyond the byte budget. A rejected entry is
+	// skipped, never served.
 	Restores       int64 `json:"restores"`
 	RestoreRejects int64 `json:"restoreRejects"`
 	// OrderHits counts selections answered by a memoized seed ordering
@@ -175,20 +169,14 @@ const DefaultMaxOrderK = 512
 // data (exact arena accounting). maxBytes <= 0 means unbounded.
 func NewIndex(maxBytes int64) *Index {
 	return &Index{
-		maxBytes:       maxBytes,
-		maxOrderK:      DefaultMaxOrderK,
-		recordPostings: true,
-		entries:        make(map[string]*list.Element),
-		lru:            list.New(),
-		inflight:       make(map[string]*flight),
-		orderFlight:    make(map[string]*orderFlight),
+		maxBytes:    maxBytes,
+		maxOrderK:   DefaultMaxOrderK,
+		entries:     make(map[string]*list.Element),
+		lru:         list.New(),
+		inflight:    make(map[string]*flight),
+		orderFlight: make(map[string]*orderFlight),
 	}
 }
-
-// SetRecordPostings controls whether builds attach the examination index
-// that incremental repair needs (on by default). Like SetBuildLimit, call
-// before the index is shared across goroutines.
-func (x *Index) SetRecordPostings(on bool) { x.recordPostings = on }
 
 // SetMaxOrderK sets how many positions of the CELF ordering are memoized
 // per collection; selections with k beyond it fall back to a fresh CELF
@@ -208,9 +196,7 @@ func (x *Index) Collection(req rrset.CollectionRequest) (*rrset.Collection, erro
 	// Recording the examination index never changes the generated sets
 	// (the flag is excluded from Key, like Workers); it is what makes the
 	// collection repairable in place after a graph PATCH.
-	if x.recordPostings {
-		req.Opts.RecordPostings = true
-	}
+	req.Opts.RecordPostings = true
 	key := req.Key()
 
 	x.mu.Lock()
@@ -469,7 +455,8 @@ func (x *Index) evictOverBudgetLocked() {
 func (x *Index) DropGraph(g *graph.Graph) int {
 	x.mu.Lock()
 	dropped := 0
-	var files []string
+	store := x.snapStore
+	var dead []string
 	//comic:unordered every matching entry is dropped and each file removed independently; order is immaterial
 	for key, el := range x.entries {
 		e := el.Value.(*indexEntry)
@@ -479,22 +466,29 @@ func (x *Index) DropGraph(g *graph.Graph) int {
 			x.bytes -= e.bytes + e.orderBytes
 			x.orderBytes -= e.orderBytes
 			dropped++
-			if x.snapDir != "" && e.graphID != "" {
-				files = append(files, filepath.Join(x.snapDir, snapshotFileName(key)))
+			if store != nil && e.graphID != "" {
+				dead = append(dead, key)
 			}
 		}
 	}
 	x.stats.Drops += int64(dropped)
 	x.mu.Unlock()
-	if len(files) > 0 {
-		x.snapMu.Lock()
-		for _, f := range files {
-			//comic:allow lockorder snapMu exists to serialize snapshot I/O; the hot path takes mu, never snapMu
-			os.Remove(f) //comic:allow errlost best-effort; LoadSnapshot tolerates strays
-		}
-		x.snapMu.Unlock()
-	}
+	x.deleteSnapshotObjects(store, dead)
 	return dropped
+}
+
+// deleteSnapshotObjects deletes the entry objects of the dead cache keys
+// from store, the local snapshot store the index had when they died.
+func (x *Index) deleteSnapshotObjects(store SnapshotStore, keys []string) {
+	if len(keys) == 0 {
+		return
+	}
+	x.snapMu.Lock()
+	defer x.snapMu.Unlock()
+	for _, key := range keys {
+		//comic:allow errlost best-effort; LoadSnapshot tolerates strays
+		store.Delete(snapshotFileName(key))
+	}
 }
 
 // RepairSummary reports what one RepairGraph migration did, surfaced in
@@ -582,7 +576,8 @@ func (x *Index) RepairGraph(old, patched *graph.Graph, newID string, delta *grap
 	// removeIfCurrent unlinks the entry under key provided it is still the
 	// exact entry the repair loop saw — it may have been evicted (gone) or
 	// evicted-and-rebuilt (a different entry) meanwhile.
-	var files []string
+	store := x.snapStore
+	var dead []string
 	removeIfCurrent := func(key string, e *indexEntry) {
 		el, ok := x.entries[key]
 		if !ok || el.Value.(*indexEntry) != e {
@@ -592,8 +587,8 @@ func (x *Index) RepairGraph(old, patched *graph.Graph, newID string, delta *grap
 		delete(x.entries, key)
 		x.bytes -= e.bytes + e.orderBytes
 		x.orderBytes -= e.orderBytes
-		if x.snapDir != "" && e.graphID != "" {
-			files = append(files, filepath.Join(x.snapDir, snapshotFileName(key)))
+		if store != nil && e.graphID != "" {
+			dead = append(dead, key)
 		}
 	}
 	for _, d := range drops {
@@ -615,14 +610,7 @@ func (x *Index) RepairGraph(old, patched *graph.Graph, newID string, delta *grap
 	// restart cannot restore them (their GraphID is gone), but pruning now
 	// keeps the state directory from accumulating one stale file per
 	// patched collection until the next SaveSnapshot.
-	if len(files) > 0 {
-		x.snapMu.Lock()
-		for _, f := range files {
-			//comic:allow lockorder snapMu exists to serialize snapshot I/O; the hot path takes mu, never snapMu
-			os.Remove(f) //comic:allow errlost best-effort; LoadSnapshot tolerates strays
-		}
-		x.snapMu.Unlock()
-	}
+	x.deleteSnapshotObjects(store, dead)
 	return sum
 }
 

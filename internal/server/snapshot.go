@@ -36,22 +36,34 @@ import (
 //	                          created time, graph fingerprint
 //	    <digest(name)>.edges  text edge list (dynamically added graphs only;
 //	                          preloaded datasets are rebuilt from Config)
-//	  index/
-//	    MANIFEST.json         RR-index snapshot manifest, LRU order (MRU first)
-//	    <digest(key)>.rrs     one rrset.Snapshot per resident collection,
-//	                          plus its memoized seed ordering when one was
-//	                          computed (an optional, checksummed trailing
-//	                          section; old order-less files still load)
+//	  index/                  the local RR-index snapshot scope (below)
 //
-// Every file is written atomically (temp file in the same directory,
-// fsync, rename), so a crash mid-snapshot leaves only the previous
-// snapshot visible — a reader never observes a torn file. Entry files are
-// content-addressed by cache key and collections are deterministic per
-// key, so periodic snapshots skip rewriting files that already exist;
-// files for evicted or dropped entries are pruned at save time.
+// RR-index snapshot layout. Index entries persist through a SnapshotStore
+// in one of two scopes, each a manifest plus one object per entry:
+//
+//	scope      store                        prefix                    entries
+//	local      DirStore at <state>/index    ""                        every graph-keyed one
+//	published  the shared store (store.go)  graphs/<digest(graphID)>  one graph version's
+//
+//	<prefix>/MANIFEST.json      entry list in LRU order (MRU first); a
+//	                            published manifest also records its
+//	                            versioned GraphID
+//	<prefix>/<digest(key)>.rrs  one rrset.Snapshot per resident collection,
+//	                            plus its memoized seed ordering and postings
+//	                            when present (optional, checksummed trailing
+//	                            sections; files without them still load)
+//
+// One writer (saveEntries) and one reader (loadEntries) serve both scopes.
+// Every object is written atomically (SnapshotStore.Put), entry objects
+// before the manifest and pruning after it, so a crash or a failed write
+// leaves the previous snapshot visible — a reader never observes a torn
+// object or a manifest naming an unwritten one. Entry objects are
+// content-addressed by cache key and collections are deterministic per key,
+// so a save reuses the objects it already wrote; objects of evicted or
+// dropped entries are pruned.
 //
 // Restore is strict where it matters and lenient where it must be: a
-// corrupt, truncated, or wrong-version entry file — or one whose key,
+// corrupt, truncated, or wrong-version entry object — or one whose key,
 // graph identity, or node/edge counts don't match — is skipped and counted
 // (IndexStats.RestoreRejects), never served and never fatal to boot.
 
@@ -63,13 +75,20 @@ const (
 	graphEdgesSuffix = ".edges"
 )
 
-// snapshotFileName is the content address of a cache key in the index
-// snapshot directory: 128 digest bits keep accidental collisions out of
-// reach, and the loader still verifies the full key recorded inside the
-// file.
+// snapshotFileName is the content address of a cache key in a snapshot
+// scope: 128 digest bits keep accidental collisions out of reach, and the
+// loader still verifies the full key recorded inside the object.
 func snapshotFileName(key string) string {
 	sum := sha256.Sum256([]byte(key))
 	return hex.EncodeToString(sum[:16]) + snapshotSuffix
+}
+
+// objectName joins a scope's prefix ("" = the store's root) and a name.
+func objectName(prefix, name string) string {
+	if prefix == "" {
+		return name
+	}
+	return prefix + "/" + name
 }
 
 // graphFileBase names a registry entry's files after its (client-chosen)
@@ -133,11 +152,14 @@ func writeFileAtomic(path string, fill func(io.Writer) error) error {
 
 // --- RR-set index snapshots ---
 
-// snapshotManifest orders an index snapshot: entries are listed most-
-// recently-used first, so a restore under a smaller byte budget keeps the
-// hottest prefix and recreates the exact LRU order.
-type snapshotManifest struct {
+// manifest orders one scope's snapshot: entries are listed most-recently-
+// used first, so a restore under a smaller byte budget keeps the hottest
+// prefix and recreates the exact LRU order. GraphID is the scope: empty
+// for the local snapshot, the full versioned ID a published prefix digest
+// was derived from, which adopters verify against the version they serve.
+type manifest struct {
 	Version int             `json:"version"`
+	GraphID string          `json:"graphID,omitempty"`
 	Entries []manifestEntry `json:"entries"`
 }
 
@@ -145,12 +167,11 @@ type manifestEntry struct {
 	File    string `json:"file"`
 	GraphID string `json:"graphID"`
 	Bytes   int64  `json:"bytes"`
-	// HasOrder records whether the entry file carries the optional
-	// seed-order section. SaveSnapshot's skip-if-exists optimization
-	// consults it: a file written before the entry's ordering was memoized
-	// is rewritten once to include it, then skipped again. HasPostings
-	// does the same for the examination-index section incremental repair
-	// needs.
+	// HasOrder records whether the entry object carries the optional
+	// seed-order section. saveEntries' reuse rule consults it: an object
+	// written before the entry's ordering was memoized is rewritten once to
+	// include it, then reused again. HasPostings does the same for the
+	// examination-index section incremental repair needs.
 	HasOrder    bool `json:"hasOrder,omitempty"`
 	HasPostings bool `json:"hasPostings,omitempty"`
 	// Request is the collection's originating request parameters. A
@@ -219,17 +240,21 @@ func (rm *requestMeta) toRequest(graphID string, g *graph.Graph) *rrset.Collecti
 
 // SaveSnapshot persists every resident collection whose cache key names a
 // graph by GraphID (pointer-identity keys are meaningless across
-// processes) to dir, one checksummed file per entry plus a manifest
-// recording the LRU order. All writes are atomic temp-file+rename; entry
-// files that already exist are reused (collections are deterministic per
-// key), and files no longer referenced by the manifest are pruned.
-// Concurrent SaveSnapshot/LoadSnapshot calls are serialized. Failures are
-// counted in IndexStats.SnapshotErrors.
+// processes) to dir, one checksummed object per entry plus a manifest
+// recording the LRU order (saveEntries' rules), and removes temp files a
+// crashed writer left there. Concurrent snapshot calls are serialized.
+// Failures are counted in IndexStats.SnapshotErrors.
 func (x *Index) SaveSnapshot(dir string) error {
+	store, err := x.openSnapshotDir(dir)
 	x.snapMu.Lock()
 	defer x.snapMu.Unlock()
-	//comic:allow lockorder snapMu exists to serialize snapshot I/O; the hot path takes mu, never snapMu
-	err := x.saveSnapshotLocked(dir)
+	if err == nil {
+		_, err = x.saveEntries(store, "", "")
+	}
+	if err == nil {
+		//comic:allow lockorder snapMu exists to serialize snapshot I/O; the hot path takes mu, never snapMu
+		sweepTempFiles(dir)
+	}
 	x.mu.Lock()
 	if err != nil {
 		x.stats.SnapshotErrors++
@@ -240,208 +265,215 @@ func (x *Index) SaveSnapshot(dir string) error {
 	return err
 }
 
-type savedEntry struct {
-	key, graphID string
-	graphN       int
-	graphM       int
-	col          *rrset.Collection
-	order        *rrset.SeedOrder
-	req          *rrset.CollectionRequest
-	bytes        int64
+// LoadSnapshot rehydrates the index from the snapshot in dir, resolving
+// each entry's GraphID through graphs (cache ID → live graph), under
+// loadEntries' rules. A missing snapshot is not an error — the index
+// simply starts cold. The number of restored collections is returned.
+func (x *Index) LoadSnapshot(dir string, graphs map[string]*graph.Graph) (int, error) {
+	store, err := x.openSnapshotDir(dir)
+	if err != nil {
+		return 0, err
+	}
+	x.snapMu.Lock()
+	defer x.snapMu.Unlock()
+	return x.loadEntries(store, "", "", graphs)
 }
 
-func (x *Index) saveSnapshotLocked(dir string) error {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return err
+// openSnapshotDir opens dir as the local snapshot store and remembers it,
+// so DropGraph and RepairGraph delete dead entries' objects there.
+func (x *Index) openSnapshotDir(dir string) (*DirStore, error) {
+	store, err := NewDirStore(dir)
+	if err != nil {
+		return nil, err
 	}
-	// Snapshot the resident set under the lock; collections are immutable,
-	// so the (possibly slow) file writes below need no lock.
 	x.mu.Lock()
-	list := make([]savedEntry, 0, x.lru.Len())
-	for el := x.lru.Front(); el != nil; el = el.Next() {
-		e := el.Value.(*indexEntry)
-		if e.graphID == "" {
-			continue
-		}
-		list = append(list, savedEntry{e.key, e.graphID, e.graph.N(), e.graph.M(), e.col, e.order, e.req, e.bytes})
+	x.snapStore = store
+	x.mu.Unlock()
+	return store, nil
+}
+
+// sweepTempFiles removes the temp files a crashed writer left in dir. Only
+// the state directory, which one process owns, is swept: in a shared store
+// a temp file may be another node's write in flight.
+func sweepTempFiles(dir string) {
+	des, err := os.ReadDir(dir)
+	if err != nil {
+		return
 	}
-	x.snapDir = dir
+	for _, de := range des {
+		if strings.Contains(de.Name(), ".tmp-") {
+			//comic:allow errlost best-effort prune; LoadSnapshot tolerates strays
+			os.Remove(filepath.Join(dir, de.Name()))
+		}
+	}
+}
+
+// saveEntries writes the resident collections of scope graphID ("" = every
+// graph-keyed entry) to store under prefix and returns how many entries
+// the new manifest lists. The manifest is written even when it lists
+// none. An entry object is reused, not rewritten, when the previous
+// manifest lists it with sections covering the resident entry's and the
+// store still holds it; every other listed entry is written before the
+// manifest. Only then are the .rrs objects the new manifest does not list
+// pruned, so a failure at any step leaves the previous manifest and every
+// object it lists intact. Called with snapMu held.
+func (x *Index) saveEntries(store SnapshotStore, prefix, graphID string) (int, error) {
+	// Copy the scope's entries under the lock; collections are immutable,
+	// so the (possibly slow) writes below need no lock.
+	x.mu.Lock()
+	var list []indexEntry
+	for el := x.lru.Front(); el != nil; el = el.Next() {
+		if e := el.Value.(*indexEntry); e.graphID != "" && (graphID == "" || e.graphID == graphID) {
+			list = append(list, *e)
+		}
+	}
 	x.mu.Unlock()
 
-	// The previous manifest records which entry files already carry the
-	// optional seed-order and postings sections, so a file written before
-	// its entry grew one of them is rewritten exactly once to include it.
-	prevHasOrder := map[string]bool{}
-	prevHasPostings := map[string]bool{}
-	if data, err := os.ReadFile(filepath.Join(dir, manifestName)); err == nil {
-		var prev snapshotManifest
-		if json.Unmarshal(data, &prev) == nil && prev.Version == manifestVersion {
-			for _, me := range prev.Entries {
-				prevHasOrder[me.File] = me.HasOrder
-				prevHasPostings[me.File] = me.HasPostings
-			}
+	stored, err := store.List(prefix)
+	if err != nil {
+		return 0, err
+	}
+	have := make(map[string]bool, len(stored))
+	for _, obj := range stored {
+		have[obj] = true
+	}
+	prev := map[string]manifestEntry{}
+	if old, ok, _ := readManifest(store, prefix, graphID); ok {
+		for _, me := range old.Entries {
+			prev[me.File] = me
 		}
 	}
 
-	man := snapshotManifest{Version: manifestVersion}
-	keep := map[string]bool{manifestName: true}
-	for _, s := range list {
-		name := snapshotFileName(s.key)
-		if keep[name] {
+	man := manifest{Version: manifestVersion, GraphID: graphID}
+	keep := map[string]bool{}
+	for _, e := range list {
+		name := snapshotFileName(e.key)
+		obj := objectName(prefix, name)
+		if keep[obj] {
 			continue // digest collision between live keys: keep the hotter entry
 		}
-		keep[name] = true
-		path := filepath.Join(dir, name)
-		_, statErr := os.Stat(path)
-		exists := statErr == nil
-		if exists && (prevHasOrder[name] || s.order == nil) &&
-			(prevHasPostings[name] || !s.col.HasPostings()) {
-			// Collections are deterministic per key and the file is at
-			// least as complete as the resident entry: reuse it. The file
-			// may carry sections the entry has not (re)computed yet. The
-			// request meta lives in the manifest, not the file, so it is
+		keep[obj] = true
+		me := manifestEntry{File: name, GraphID: e.graphID, Bytes: e.bytes,
+			HasOrder: e.order != nil, HasPostings: e.col.HasPostings(), Request: requestMetaOf(e.req)}
+		if p, ok := prev[name]; ok && have[obj] && (p.HasOrder || !me.HasOrder) && (p.HasPostings || !me.HasPostings) {
+			// The object may carry sections the entry has not (re)computed
+			// yet; the request meta lives in the manifest, so it is
 			// refreshed regardless.
-			man.Entries = append(man.Entries, manifestEntry{
-				File: name, GraphID: s.graphID, Bytes: s.bytes,
-				HasOrder: prevHasOrder[name], HasPostings: prevHasPostings[name],
-				Request: requestMetaOf(s.req),
-			})
-			continue
+			me.HasOrder, me.HasPostings = p.HasOrder, p.HasPostings
+		} else {
+			snap := &rrset.Snapshot{Key: e.key, GraphID: e.graphID, GraphN: e.graph.N(), GraphM: e.graph.M(),
+				Collection: e.col, Order: e.order}
+			if err := store.Put(obj, func(w io.Writer) error {
+				_, err := snap.WriteTo(w)
+				return err
+			}); err != nil {
+				return 0, err
+			}
 		}
-		man.Entries = append(man.Entries, manifestEntry{
-			File: name, GraphID: s.graphID, Bytes: s.bytes,
-			HasOrder: s.order != nil, HasPostings: s.col.HasPostings(),
-			Request: requestMetaOf(s.req),
-		})
-		snap := &rrset.Snapshot{Key: s.key, GraphID: s.graphID, GraphN: s.graphN, GraphM: s.graphM,
-			Collection: s.col, Order: s.order}
-		if err := writeFileAtomic(path, func(w io.Writer) error {
-			_, err := snap.WriteTo(w)
-			return err
-		}); err != nil {
-			return err
-		}
+		man.Entries = append(man.Entries, me)
 	}
-	if err := writeFileAtomic(filepath.Join(dir, manifestName), func(w io.Writer) error {
+	if err := store.Put(objectName(prefix, manifestName), func(w io.Writer) error {
 		enc := json.NewEncoder(w)
 		enc.SetIndent("", "  ")
 		return enc.Encode(man)
 	}); err != nil {
-		return err
+		return 0, err
 	}
-	// Prune entry files for collections that were evicted or dropped, and
-	// temp files a crashed writer may have left behind.
-	if des, err := os.ReadDir(dir); err == nil {
-		for _, de := range des {
-			name := de.Name()
-			stale := (strings.HasSuffix(name, snapshotSuffix) && !keep[name]) ||
-				strings.Contains(name, ".tmp-")
-			if stale {
-				//comic:allow errlost best-effort prune; LoadSnapshot tolerates strays
-				os.Remove(filepath.Join(dir, name))
-			}
+	for _, obj := range stored {
+		if strings.HasSuffix(obj, snapshotSuffix) && !keep[obj] {
+			//comic:allow errlost best-effort prune; LoadSnapshot tolerates strays
+			store.Delete(obj)
 		}
 	}
-	return nil
+	return len(man.Entries), nil
 }
 
-// LoadSnapshot rehydrates the index from the snapshot in dir, resolving
-// each entry's GraphID through graphs (cache ID → live graph). Entries are
-// admitted most-recently-used first while they fit the byte budget and
-// inserted so the pre-snapshot LRU order is preserved exactly.
-//
-// A missing snapshot is not an error — the index simply starts cold. A
-// corrupt, truncated, or wrong-version entry file, a key or graph
-// mismatch, or an entry beyond the budget is skipped and counted in
-// IndexStats.RestoreRejects; it can never fail the whole load. The number
-// of restored collections is returned.
-func (x *Index) LoadSnapshot(dir string, graphs map[string]*graph.Graph) (int, error) {
-	x.snapMu.Lock()
-	defer x.snapMu.Unlock()
-
-	setDir := func() {
-		x.mu.Lock()
-		x.snapDir = dir
-		x.mu.Unlock()
+// readManifest fetches the manifest under prefix. ok reports whether it
+// decoded with the current version and scope graphID; err is the store's,
+// wrapping fs.ErrNotExist when there is no manifest.
+func readManifest(store SnapshotStore, prefix, graphID string) (man manifest, ok bool, err error) {
+	rc, err := store.Get(objectName(prefix, manifestName))
+	if err != nil {
+		return man, false, err
 	}
-	//comic:allow lockorder snapMu exists to serialize snapshot I/O; the hot path takes mu, never snapMu
-	data, err := os.ReadFile(filepath.Join(dir, manifestName))
+	defer rc.Close()
+	derr := json.NewDecoder(rc).Decode(&man)
+	return man, derr == nil && man.Version == manifestVersion && man.GraphID == graphID, nil
+}
+
+// readSnapshotObject decodes one entry object.
+func readSnapshotObject(store SnapshotStore, name string) (*rrset.Snapshot, error) {
+	rc, err := store.Get(name)
+	if err != nil {
+		return nil, err
+	}
+	defer rc.Close()
+	return rrset.ReadCollection(rc)
+}
+
+// loadEntries admits the entries the manifest of scope graphID under
+// prefix lists, resolving each entry's GraphID through graphs, and returns
+// how many collections it restored. Entries are admitted most-recently-
+// used first while they fit the byte budget and inserted so the saved LRU
+// order is preserved exactly; entries already resident are skipped
+// uncounted and never replaced.
+//
+// A torn, wrong-version or out-of-scope manifest, an entry keyed to a graph
+// graphs lacks, an object that is missing, unreadable, corrupt, truncated
+// or wrong-version or whose key, graph identity or node/edge counts
+// disagree, and every entry from the first one beyond the budget on, are
+// skipped and counted in IndexStats.RestoreRejects; none can fail the
+// whole load. An object the reader rejects is deleted, so the next save
+// rewrites it instead of re-referencing it forever. Budget and
+// unknown-graph rejections keep their objects: those entries are intact
+// and may become restorable again (a larger budget, a dataset added back
+// to the config). Called with snapMu held.
+func (x *Index) loadEntries(store SnapshotStore, prefix, graphID string, graphs map[string]*graph.Graph) (int, error) {
+	man, ok, err := readManifest(store, prefix, graphID)
 	if errors.Is(err, fs.ErrNotExist) {
-		setDir()
 		return 0, nil
 	}
 	if err != nil {
 		return 0, err
 	}
-	var man snapshotManifest
-	//comic:allow lockorder encoding/json's one-time type-cache build parks on a WaitGroup; nothing hot blocks on snapMu
-	if err := json.Unmarshal(data, &man); err != nil || man.Version != manifestVersion {
+	if !ok {
 		// A torn or foreign manifest forfeits the snapshot, not the boot.
-		setDir()
 		x.mu.Lock()
 		x.stats.RestoreRejects++
 		x.mu.Unlock()
 		return 0, nil
 	}
 
-	type loadedEntry struct {
-		key, graphID string
-		col          *rrset.Collection
-		order        *rrset.SeedOrder
-		req          *rrset.CollectionRequest
-		g            *graph.Graph
-		bytes        int64
-		orderBytes   int64
-	}
-	var accepted []loadedEntry
-	var acceptedBytes int64
-	var rejects int64
+	var accepted []*indexEntry
+	var acceptedBytes, rejects int64
 	budgetFull := false
 	for _, me := range man.Entries {
-		if budgetFull {
+		g, known := graphs[me.GraphID]
+		if budgetFull || !known {
 			rejects++
 			continue
 		}
-		// A file rejected for content (corrupt, truncated, wrong version,
-		// wrong key or graph) is deleted: the collection will be rebuilt in
-		// memory under the same key, and SaveSnapshot's skip-if-exists
-		// optimization would otherwise re-reference the bad file forever,
-		// leaving this entry permanently cold across restarts. Budget and
-		// unknown-GraphID rejections keep their files — those entries are
-		// intact and may become restorable again (a larger budget, a
-		// dataset added back to the config).
-		path := filepath.Join(dir, me.File)
-		g, ok := graphs[me.GraphID]
-		if !ok {
-			rejects++ // graph gone (deleted, or config changed): stale entry
+		obj := objectName(prefix, me.File)
+		snap, err := readSnapshotObject(store, obj)
+		if err != nil || snap.GraphID != me.GraphID || snapshotFileName(snap.Key) != me.File ||
+			snap.GraphN != g.N() || snap.GraphM != g.M() {
+			rejects++
+			//comic:allow errlost best-effort; a surviving bad object is re-rejected next load
+			store.Delete(obj)
 			continue
 		}
-		//comic:allow lockorder snapMu exists to serialize snapshot I/O; the hot path takes mu, never snapMu
-		snap, err := readSnapshotFile(path)
-		if err != nil {
-			rejects++ // corrupt / truncated / wrong version / missing
-			//comic:allow lockorder snapMu exists to serialize snapshot I/O; the hot path takes mu, never snapMu
-			os.Remove(path) //comic:allow errlost best-effort; a surviving bad file is re-rejected next boot
+		x.mu.Lock()
+		_, resident := x.entries[snap.Key]
+		x.mu.Unlock()
+		if resident {
 			continue
 		}
-		if snap.GraphID != me.GraphID || snapshotFileName(snap.Key) != me.File {
-			rejects++ // entry file does not belong where the manifest says
-			//comic:allow lockorder snapMu exists to serialize snapshot I/O; the hot path takes mu, never snapMu
-			os.Remove(path) //comic:allow errlost best-effort; a surviving bad file is re-rejected next boot
-			continue
-		}
-		if snap.GraphN != g.N() || snap.GraphM != g.M() {
-			rejects++ // the same N/M misuse guard the live index applies
-			//comic:allow lockorder snapMu exists to serialize snapshot I/O; the hot path takes mu, never snapMu
-			os.Remove(path) //comic:allow errlost best-effort; a surviving bad file is re-rejected next boot
-			continue
-		}
-		b := snap.Collection.Bytes()
-		var ob int64
+		e := &indexEntry{key: snap.Key, graphID: me.GraphID, col: snap.Collection, graph: g,
+			bytes: snap.Collection.Bytes(), order: snap.Order}
 		if snap.Order != nil {
-			ob = snap.Order.Bytes()
+			e.orderBytes = snap.Order.Bytes()
 		}
-		if x.maxBytes > 0 && acceptedBytes+b+ob > x.maxBytes {
+		if x.maxBytes > 0 && acceptedBytes+e.bytes+e.orderBytes > x.maxBytes {
 			// The restored set is always the most-recently-used prefix:
 			// once an entry exceeds the budget, nothing colder is admitted
 			// either, exactly as if the rest had been evicted. The memoized
@@ -455,44 +487,32 @@ func (x *Index) LoadSnapshot(dir string, graphs map[string]*graph.Graph) (int, e
 		// a mismatch (hand-edited manifest, foreign key format) demotes the
 		// entry to servable-but-not-repairable rather than risking a repair
 		// under the wrong parameters.
-		var req *rrset.CollectionRequest
 		if me.Request != nil {
-			if cand := me.Request.toRequest(me.GraphID, g); cand.Key() == snap.Key {
-				req = cand
+			if req := me.Request.toRequest(me.GraphID, g); req.Key() == snap.Key {
+				e.req = req
 			}
 		}
-		acceptedBytes += b + ob
-		accepted = append(accepted, loadedEntry{snap.Key, me.GraphID, snap.Collection, snap.Order, req, g, b, ob})
+		acceptedBytes += e.bytes + e.orderBytes
+		accepted = append(accepted, e)
 	}
 
 	x.mu.Lock()
 	defer x.mu.Unlock()
 	restored := 0
 	for i := len(accepted) - 1; i >= 0; i-- { // coldest first: PushFront rebuilds MRU order
-		l := accepted[i]
-		if _, ok := x.entries[l.key]; ok {
-			continue
+		e := accepted[i]
+		if _, ok := x.entries[e.key]; ok {
+			continue // a racing build landed while we read the store
 		}
-		e := &indexEntry{key: l.key, graphID: l.graphID, col: l.col, graph: l.g, bytes: l.bytes,
-			order: l.order, orderBytes: l.orderBytes, req: l.req}
-		x.entries[l.key] = x.lru.PushFront(e)
-		x.bytes += l.bytes + l.orderBytes
-		x.orderBytes += l.orderBytes
+		x.entries[e.key] = x.lru.PushFront(e)
+		x.bytes += e.bytes + e.orderBytes
+		x.orderBytes += e.orderBytes
 		restored++
 	}
-	x.snapDir = dir
+	x.evictOverBudgetLocked()
 	x.stats.Restores += int64(restored)
 	x.stats.RestoreRejects += rejects
 	return restored, nil
-}
-
-func readSnapshotFile(path string) (*rrset.Snapshot, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	return rrset.ReadCollection(f)
 }
 
 // --- graph registry persistence ---

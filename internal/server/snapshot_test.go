@@ -2,6 +2,8 @@ package server_test
 
 import (
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"io"
 	"net"
@@ -40,6 +42,54 @@ func snapReq(g *graph.Graph, theta int) rrset.CollectionRequest {
 		Opts:    rrset.Options{FixedTheta: theta, Workers: 1},
 		Seed:    42,
 	}
+}
+
+// snapScope is one place index entries persist: the state directory
+// (SaveSnapshot/LoadSnapshot) or graph version snap#1's prefix in a shared
+// store (PublishGraph/AdoptGraph). dir is where its manifest and entry
+// objects sit on disk.
+type snapScope struct {
+	dir  string
+	save func(*server.Index) error
+	load func(*server.Index) (int, error)
+}
+
+// snapScopes open a fresh, empty instance of each scope over g.
+var snapScopes = []struct {
+	name string
+	open func(t *testing.T, g *graph.Graph) snapScope
+}{
+	{"state-dir", func(t *testing.T, g *graph.Graph) snapScope {
+		dir := filepath.Join(t.TempDir(), "index")
+		return snapScope{
+			dir:  dir,
+			save: func(x *server.Index) error { return x.SaveSnapshot(dir) },
+			load: func(x *server.Index) (int, error) {
+				return x.LoadSnapshot(dir, map[string]*graph.Graph{"snap#1": g})
+			},
+		}
+	}},
+	{"published", func(t *testing.T, g *graph.Graph) snapScope {
+		st, err := server.NewDirStore(t.TempDir())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return snapScope{
+			dir: publishedDir(st, "snap#1"),
+			save: func(x *server.Index) error {
+				_, perr := x.PublishGraph(st, "snap#1")
+				return perr
+			},
+			load: func(x *server.Index) (int, error) { return x.AdoptGraph(st, "snap#1", g) },
+		}
+	}},
+}
+
+// publishedDir is where st keeps graph version graphID's published objects:
+// the store's documented prefix, graphs/<hex of sha256(graphID)[:16]>.
+func publishedDir(st *server.DirStore, graphID string) string {
+	sum := sha256.Sum256([]byte(graphID))
+	return filepath.Join(st.Root(), "graphs", hex.EncodeToString(sum[:16]))
 }
 
 // rrsFiles globs the snapshot entry files in dir.
@@ -133,132 +183,192 @@ func TestIndexSnapshotRoundTrip(t *testing.T) {
 
 func TestLoadSnapshotPreservesLRUOrderAndBudget(t *testing.T) {
 	g := snapGraph(t)
-	dir := t.TempDir()
-	idx := server.NewIndex(0)
-	reqA, reqB, reqC := snapReq(g, 200), snapReq(g, 300), snapReq(g, 400)
-	colA, _ := idx.Collection(reqA)
-	if _, err := idx.Collection(reqB); err != nil {
-		t.Fatal(err)
-	}
-	colC, _ := idx.Collection(reqC)
-	if _, err := idx.Collection(reqA); err != nil { // touch A: LRU order is now A,C,B
-		t.Fatal(err)
-	}
-	if serr := idx.SaveSnapshot(dir); serr != nil {
-		t.Fatal(serr)
-	}
+	for _, sc := range snapScopes {
+		t.Run(sc.name, func(t *testing.T) {
+			scope := sc.open(t, g)
+			idx := server.NewIndex(0)
+			reqA, reqB, reqC := snapReq(g, 200), snapReq(g, 300), snapReq(g, 400)
+			colA, _ := idx.Collection(reqA)
+			if _, err := idx.Collection(reqB); err != nil {
+				t.Fatal(err)
+			}
+			colC, _ := idx.Collection(reqC)
+			if _, err := idx.Collection(reqA); err != nil { // touch A: LRU order is now A,C,B
+				t.Fatal(err)
+			}
+			if serr := scope.save(idx); serr != nil {
+				t.Fatal(serr)
+			}
 
-	// Budget for exactly A+C: B (the coldest) must be left behind, and
-	// nothing after the first overflow may sneak in.
-	budget := colA.Bytes() + colC.Bytes()
-	fresh := server.NewIndex(budget)
-	n, err := fresh.LoadSnapshot(dir, map[string]*graph.Graph{"snap#1": g})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n != 2 {
-		t.Fatalf("restored %d entries under budget, want 2", n)
-	}
-	st := fresh.Stats()
-	if st.RestoreRejects != 1 {
-		t.Fatalf("RestoreRejects = %d, want 1 (budget)", st.RestoreRejects)
-	}
-	if st.ResidentBytes != budget {
-		t.Fatalf("resident %d != budget %d", st.ResidentBytes, budget)
-	}
-	// A and C must answer warm, B must be a miss.
-	if _, err := fresh.Collection(reqA); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := fresh.Collection(reqC); err != nil {
-		t.Fatal(err)
-	}
-	if st := fresh.Stats(); st.Hits != 2 || st.Misses != 0 {
-		t.Fatalf("A/C not both restored: hits %d misses %d", st.Hits, st.Misses)
-	}
+			// Budget for exactly A+C: B (the coldest) must be left behind, and
+			// nothing after the first overflow may sneak in.
+			budget := colA.Bytes() + colC.Bytes()
+			fresh := server.NewIndex(budget)
+			n, err := scope.load(fresh)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if n != 2 {
+				t.Fatalf("restored %d entries under budget, want 2", n)
+			}
+			st := fresh.Stats()
+			if st.RestoreRejects != 1 {
+				t.Fatalf("RestoreRejects = %d, want 1 (budget)", st.RestoreRejects)
+			}
+			if st.ResidentBytes != budget {
+				t.Fatalf("resident %d != budget %d", st.ResidentBytes, budget)
+			}
+			// A and C must answer warm, B must be a miss.
+			if _, err := fresh.Collection(reqA); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := fresh.Collection(reqC); err != nil {
+				t.Fatal(err)
+			}
+			if st := fresh.Stats(); st.Hits != 2 || st.Misses != 0 {
+				t.Fatalf("A/C not both restored: hits %d misses %d", st.Hits, st.Misses)
+			}
 
-	// Order proof: re-saving the restored (unbudgeted reload) index must
-	// reproduce the exact MRU-first manifest order A, C, B.
-	full := server.NewIndex(0)
-	if _, err := full.LoadSnapshot(dir, map[string]*graph.Graph{"snap#1": g}); err != nil {
-		t.Fatal(err)
-	}
-	dir2 := t.TempDir()
-	if err := full.SaveSnapshot(dir2); err != nil {
-		t.Fatal(err)
-	}
-	want := readManifest(t, dir)
-	got := readManifest(t, dir2)
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("restore did not preserve LRU order:\n got %+v\nwant %+v", got, want)
+			// Order proof: re-saving the restored (unbudgeted reload) index
+			// to a second scope must reproduce the exact MRU-first manifest
+			// order A, C, B.
+			full := server.NewIndex(0)
+			if _, err := scope.load(full); err != nil {
+				t.Fatal(err)
+			}
+			scope2 := sc.open(t, g)
+			if err := scope2.save(full); err != nil {
+				t.Fatal(err)
+			}
+			want := readManifest(t, scope.dir)
+			got := readManifest(t, scope2.dir)
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("restore did not preserve LRU order:\n got %+v\nwant %+v", got, want)
+			}
+		})
 	}
 }
 
 func TestLoadSnapshotSkipsCorruptEntries(t *testing.T) {
 	g := snapGraph(t)
-	dir := t.TempDir()
-	idx := server.NewIndex(0)
-	for _, theta := range []int{200, 300, 400} {
-		if _, err := idx.Collection(snapReq(g, theta)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if serr := idx.SaveSnapshot(dir); serr != nil {
-		t.Fatal(serr)
-	}
-	files := rrsFiles(t, dir)
-	if len(files) != 3 {
-		t.Fatalf("want 3 entry files, got %d", len(files))
-	}
-	// Truncate one entry and flip another's format version; the third
-	// survives.
-	data, err := os.ReadFile(files[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Truncate inside the core sections (the offsets array alone outgrows
-	// this prefix), not merely inside an optional trailing section — a lost
-	// optional section is tolerated by design, a torn core is not.
-	if werr := os.WriteFile(files[0], data[:200], 0o644); werr != nil {
-		t.Fatal(werr)
-	}
-	data, err = os.ReadFile(files[1])
-	if err != nil {
-		t.Fatal(err)
-	}
-	data[4]++ // version field sits right after the 4-byte magic
-	if werr := os.WriteFile(files[1], data, 0o644); werr != nil {
-		t.Fatal(werr)
-	}
+	for _, sc := range snapScopes {
+		t.Run(sc.name, func(t *testing.T) {
+			scope := sc.open(t, g)
+			idx := server.NewIndex(0)
+			for _, theta := range []int{200, 300, 400} {
+				if _, err := idx.Collection(snapReq(g, theta)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if serr := scope.save(idx); serr != nil {
+				t.Fatal(serr)
+			}
+			files := rrsFiles(t, scope.dir)
+			if len(files) != 3 {
+				t.Fatalf("want 3 entry files, got %d", len(files))
+			}
+			// Truncate one entry and flip another's format version; the
+			// third survives.
+			data, err := os.ReadFile(files[0])
+			if err != nil {
+				t.Fatal(err)
+			}
+			// Truncate inside the core sections (the offsets array alone
+			// outgrows this prefix), not merely inside an optional trailing
+			// section — a lost optional section is tolerated by design, a
+			// torn core is not.
+			if werr := os.WriteFile(files[0], data[:200], 0o644); werr != nil {
+				t.Fatal(werr)
+			}
+			data, err = os.ReadFile(files[1])
+			if err != nil {
+				t.Fatal(err)
+			}
+			data[4]++ // version field sits right after the 4-byte magic
+			if werr := os.WriteFile(files[1], data, 0o644); werr != nil {
+				t.Fatal(werr)
+			}
 
-	fresh := server.NewIndex(0)
-	n, err := fresh.LoadSnapshot(dir, map[string]*graph.Graph{"snap#1": g})
-	if err != nil {
-		t.Fatalf("corrupt entries must not fail the load: %v", err)
+			fresh := server.NewIndex(0)
+			n, err := scope.load(fresh)
+			if err != nil {
+				t.Fatalf("corrupt entries must not fail the load: %v", err)
+			}
+			if n != 1 {
+				t.Fatalf("restored %d entries, want 1", n)
+			}
+			if st := fresh.Stats(); st.Restores != 1 || st.RestoreRejects != 2 {
+				t.Fatalf("stats %+v, want 1 restore / 2 rejects", st)
+			}
+			// Self-repair: the rejected files must be deleted so the next
+			// save (which reuses the entry objects it finds) rewrites them
+			// instead of re-referencing the corruption forever.
+			if left := rrsFiles(t, scope.dir); len(left) != 1 {
+				t.Fatalf("rejected entry files not deleted: %v", left)
+			}
+			for _, theta := range []int{200, 300, 400} { // rebuild what was lost
+				if _, err := fresh.Collection(snapReq(g, theta)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if serr := scope.save(fresh); serr != nil {
+				t.Fatal(serr)
+			}
+			repaired := server.NewIndex(0)
+			if n, err := scope.load(repaired); err != nil || n != 3 {
+				t.Fatalf("snapshot not repaired: restored %d err %v, want 3/nil", n, err)
+			}
+		})
 	}
-	if n != 1 {
-		t.Fatalf("restored %d entries, want 1", n)
-	}
-	if st := fresh.Stats(); st.Restores != 1 || st.RestoreRejects != 2 {
-		t.Fatalf("stats %+v, want 1 restore / 2 rejects", st)
-	}
-	// Self-repair: the rejected files must be deleted so the next
-	// SaveSnapshot (whose skip-if-exists reuses on-disk entries) rewrites
-	// them instead of re-referencing the corruption forever.
-	if left := rrsFiles(t, dir); len(left) != 1 {
-		t.Fatalf("rejected entry files not deleted: %v", left)
-	}
-	for _, theta := range []int{200, 300, 400} { // rebuild what was lost
-		if _, err := fresh.Collection(snapReq(g, theta)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if serr := fresh.SaveSnapshot(dir); serr != nil {
-		t.Fatal(serr)
-	}
-	repaired := server.NewIndex(0)
-	if n, err := repaired.LoadSnapshot(dir, map[string]*graph.Graph{"snap#1": g}); err != nil || n != 3 {
-		t.Fatalf("snapshot not repaired: restored %d err %v, want 3/nil", n, err)
+}
+
+// TestLoadSnapshotConfinesEntryNames: a manifest entry naming a path
+// outside its scope is rejected without touching that path. Next to the
+// state directory's index/ sits graphs/, whose files are uploaded graphs.
+func TestLoadSnapshotConfinesEntryNames(t *testing.T) {
+	g := snapGraph(t)
+	for _, sc := range snapScopes {
+		t.Run(sc.name, func(t *testing.T) {
+			scope := sc.open(t, g)
+			idx := server.NewIndex(0)
+			if _, err := idx.Collection(snapReq(g, 250)); err != nil {
+				t.Fatal(err)
+			}
+			if serr := scope.save(idx); serr != nil {
+				t.Fatal(serr)
+			}
+			victim := filepath.Join(filepath.Dir(scope.dir), "victim.json")
+			if werr := os.WriteFile(victim, []byte("not a snapshot"), 0o644); werr != nil {
+				t.Fatal(werr)
+			}
+			manPath := filepath.Join(scope.dir, "MANIFEST.json")
+			data, err := os.ReadFile(manPath)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var man map[string]any
+			if uerr := json.Unmarshal(data, &man); uerr != nil {
+				t.Fatal(uerr)
+			}
+			man["entries"].([]any)[0].(map[string]any)["file"] = "../victim.json"
+			if data, err = json.Marshal(man); err != nil {
+				t.Fatal(err)
+			}
+			if werr := os.WriteFile(manPath, data, 0o644); werr != nil {
+				t.Fatal(werr)
+			}
+
+			fresh := server.NewIndex(0)
+			if n, err := scope.load(fresh); err != nil || n != 0 {
+				t.Fatalf("restored %d err %v from an escaping entry name, want 0/nil", n, err)
+			}
+			if st := fresh.Stats(); st.RestoreRejects != 1 {
+				t.Fatalf("escaping entry name counted %d rejects, want 1", st.RestoreRejects)
+			}
+			if got, err := os.ReadFile(victim); err != nil || string(got) != "not a snapshot" {
+				t.Fatalf("file outside the scope touched: %q, %v", got, err)
+			}
+		})
 	}
 }
 

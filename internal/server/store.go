@@ -3,7 +3,6 @@ package server
 import (
 	"crypto/sha256"
 	"encoding/hex"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -14,11 +13,10 @@ import (
 	"strings"
 
 	"comic/internal/graph"
-	"comic/internal/rrset"
 )
 
-// Shared snapshot tier. The PR 4 snapshot codec made RR-set collections a
-// restart format: one process writes per-entry files, the same process
+// Shared snapshot tier. The snapshot codec made RR-set collections a
+// restart format: one process writes per-entry objects, the same process
 // reads them back. Cluster mode promotes it to a storage format shared
 // *across* processes: any node can publish the collections it built for a
 // graph, and any node that inherits that graph on a membership change can
@@ -27,26 +25,22 @@ import (
 //
 // SnapshotStore is deliberately object-store-shaped (flat names, whole-
 // object writes, list-by-prefix) so the filesystem implementation below
-// can later be swapped for S3/GCS without touching the index logic.
+// can later be swapped for S3/GCS without touching the index logic. The
+// local state-directory snapshot runs through it too, as a DirStore.
 //
-// Store layout, one prefix per graph *version*:
-//
-//	graphs/<digest(graphID)>/MANIFEST.json   storeManifest: the full
-//	                                         versioned GraphID plus the
-//	                                         entry list, MRU first
-//	graphs/<digest(graphID)>/<digest(key)>.rrs
-//
-// Prefixing by versioned GraphID ("<name>#<reg-gen>@<edit-gen>") is the
-// generation fence: a publisher writes only under the exact version it
-// holds, an adopter reads only the prefix of the version it currently
-// serves, and the manifest's recorded GraphID is verified on top. A
-// snapshot of a stale generation lives under a different prefix and can
-// never be adopted, let alone served. It also keeps concurrent writers
-// apart: two nodes only ever race on a prefix when both own the same
-// version, in which case they write identical bytes (collections are
-// deterministic per key).
+// The store holds the published scope of the snapshot layout (snapshot.go):
+// one prefix per graph *version*, graphs/<digest(graphID)>. Prefixing by
+// versioned GraphID ("<name>#<reg-gen>@<edit-gen>") is the generation
+// fence: a publisher writes only under the exact version it holds, an
+// adopter reads only the prefix of the version it currently serves, and
+// the manifest's recorded GraphID is verified on top. A snapshot of a
+// stale generation lives under a different prefix and can never be
+// adopted, let alone served. It also keeps concurrent writers apart: two
+// nodes only ever race on a prefix when both own the same version, in
+// which case they write identical bytes (collections are deterministic per
+// key).
 
-// SnapshotStore is a pluggable blob backend for the shared snapshot tier.
+// SnapshotStore is a pluggable blob backend for RR-index snapshots.
 // Object names are forward-slash-separated paths of [a-zA-Z0-9._-]
 // segments. Implementations must make Put atomic (readers see the old
 // object or the whole new one, never a torn write) and must return an
@@ -56,7 +50,8 @@ type SnapshotStore interface {
 	Put(name string, fill func(io.Writer) error) error
 	// Get opens the named object for reading.
 	Get(name string) (io.ReadCloser, error)
-	// List returns the names of all objects under prefix, sorted.
+	// List returns the names of all objects under prefix, sorted; prefix ""
+	// lists the objects at the store's root.
 	List(prefix string) ([]string, error)
 	// Delete removes the named object; deleting an absent object is not an
 	// error.
@@ -73,22 +68,13 @@ func storeGraphPrefix(graphID string) string {
 	return "graphs/" + hex.EncodeToString(sum[:16])
 }
 
-// storeManifest indexes one graph version's published entries, MRU first
-// (the same admission order LoadSnapshot uses). GraphID is the full
-// versioned ID the prefix digest was derived from; adopters verify it
-// against the version they serve.
-type storeManifest struct {
-	Version int             `json:"version"`
-	GraphID string          `json:"graphID"`
-	Entries []manifestEntry `json:"entries"`
-}
-
 // --- filesystem implementation ---
 
 // DirStore implements SnapshotStore on a filesystem directory — typically
 // a shared mount (NFS, EBS multi-attach) in a real deployment, a plain
-// local directory in tests and single-host clusters. All writes are
-// atomic temp-file+rename, matching the local state-directory guarantees.
+// local directory in tests and single-host clusters, and the state
+// directory's index/ for the local snapshot. All writes are atomic
+// temp-file+rename.
 type DirStore struct {
 	root string
 }
@@ -110,8 +96,8 @@ func (ds *DirStore) Root() string { return ds.root }
 
 // storePath maps an object name onto the root, refusing names that could
 // escape it. Internally generated names are hex digests and fixed
-// basenames, but the store is an exported API surface and must not trust
-// its callers with path traversal.
+// basenames, but manifests are read back from disk and the store is an
+// exported API surface: neither may be trusted with path traversal.
 func (ds *DirStore) storePath(name string) (string, error) {
 	if name == "" || strings.HasPrefix(name, "/") || strings.HasSuffix(name, "/") {
 		return "", fmt.Errorf("server: bad store object name %q", name)
@@ -144,9 +130,12 @@ func (ds *DirStore) Get(name string) (io.ReadCloser, error) {
 }
 
 func (ds *DirStore) List(prefix string) ([]string, error) {
-	dir, err := ds.storePath(prefix)
-	if err != nil {
-		return nil, err
+	dir := ds.root
+	if prefix != "" {
+		var err error
+		if dir, err = ds.storePath(prefix); err != nil {
+			return nil, err
+		}
 	}
 	des, err := os.ReadDir(dir)
 	if errors.Is(err, fs.ErrNotExist) {
@@ -160,7 +149,7 @@ func (ds *DirStore) List(prefix string) ([]string, error) {
 		if de.IsDir() || strings.Contains(de.Name(), ".tmp-") {
 			continue // a crashed writer's temp file is not an object
 		}
-		names = append(names, prefix+"/"+de.Name())
+		names = append(names, objectName(prefix, de.Name()))
 	}
 	sort.Strings(names)
 	return names, nil
@@ -196,219 +185,33 @@ func (ds *DirStore) Ping() error {
 // PublishGraph writes every resident collection keyed to graphID (the
 // versioned RR-index GraphID) to the store under the version's prefix,
 // plus a manifest recording the LRU order, and returns how many entries
-// the manifest now lists. Entry files the store already holds with the
-// same completeness are not rewritten — collections are deterministic per
-// key, so an existing file is already byte-correct. Publishing a version
-// with no resident entries removes its manifest (the graph has nothing to
-// move).
+// the manifest now lists (saveEntries' rules: unchanged objects are
+// reused, evicted entries' objects pruned, and a version with nothing
+// resident publishes an empty manifest).
 //
 // Serialized with the local snapshot operations on snapMu; safe to call
 // concurrently with queries.
 func (x *Index) PublishGraph(store SnapshotStore, graphID string) (int, error) {
 	x.snapMu.Lock()
 	defer x.snapMu.Unlock()
-
-	x.mu.Lock()
-	list := make([]savedEntry, 0, 8)
-	for el := x.lru.Front(); el != nil; el = el.Next() {
-		e := el.Value.(*indexEntry)
-		if e.graphID != graphID {
-			continue
-		}
-		list = append(list, savedEntry{e.key, e.graphID, e.graph.N(), e.graph.M(), e.col, e.order, e.req, e.bytes})
-	}
-	x.mu.Unlock()
-
-	prefix := storeGraphPrefix(graphID)
-	manifestObj := prefix + "/" + manifestName
-	if len(list) == 0 {
-		//comic:allow errlost best-effort retraction; an empty manifest write below would do the same job
-		store.Delete(manifestObj)
-		return 0, nil
-	}
-
-	// The previously published manifest plays the same role as the local
-	// snapshot's: entry files already carrying the optional seed-order and
-	// postings sections are reused, not rewritten.
-	prevHasOrder := map[string]bool{}
-	prevHasPostings := map[string]bool{}
-	if rc, err := store.Get(manifestObj); err == nil {
-		var prev storeManifest
-		derr := json.NewDecoder(rc).Decode(&prev)
-		//comic:allow errlost the read already succeeded or prev is zero; either way the maps below stay safe
-		rc.Close()
-		if derr == nil && prev.Version == manifestVersion && prev.GraphID == graphID {
-			for _, me := range prev.Entries {
-				prevHasOrder[me.File] = me.HasOrder
-				prevHasPostings[me.File] = me.HasPostings
-			}
-		}
-	}
-
-	man := storeManifest{Version: manifestVersion, GraphID: graphID}
-	seen := map[string]bool{}
-	for _, s := range list {
-		name := snapshotFileName(s.key)
-		if seen[name] {
-			continue // digest collision between live keys: keep the hotter entry
-		}
-		seen[name] = true
-		_, exists := prevHasOrder[name]
-		if exists && (prevHasOrder[name] || s.order == nil) &&
-			(prevHasPostings[name] || !s.col.HasPostings()) {
-			man.Entries = append(man.Entries, manifestEntry{
-				File: name, GraphID: s.graphID, Bytes: s.bytes,
-				HasOrder: prevHasOrder[name], HasPostings: prevHasPostings[name],
-				Request: requestMetaOf(s.req),
-			})
-			continue
-		}
-		man.Entries = append(man.Entries, manifestEntry{
-			File: name, GraphID: s.graphID, Bytes: s.bytes,
-			HasOrder: s.order != nil, HasPostings: s.col.HasPostings(),
-			Request: requestMetaOf(s.req),
-		})
-		snap := &rrset.Snapshot{Key: s.key, GraphID: s.graphID, GraphN: s.graphN, GraphM: s.graphM,
-			Collection: s.col, Order: s.order}
-		if err := store.Put(prefix+"/"+name, func(w io.Writer) error {
-			_, err := snap.WriteTo(w)
-			return err
-		}); err != nil {
-			return 0, err
-		}
-	}
-	if err := store.Put(manifestObj, func(w io.Writer) error {
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		return enc.Encode(man)
-	}); err != nil {
-		return 0, err
-	}
-	return len(man.Entries), nil
+	return x.saveEntries(store, storeGraphPrefix(graphID), graphID)
 }
 
 // AdoptGraph loads the store's published entries for graphID — the
-// versioned GraphID of the graph version this index currently serves —
-// and returns how many collections it adopted. It applies the same
-// validation as a local snapshot restore: the manifest and every entry
-// file must record exactly graphID, the entry's key must hash to its file
-// name, the codec's checksums must verify, and the node/edge counts must
-// match g. Anything else is skipped and counted in
-// IndexStats.RestoreRejects — a stale or foreign snapshot is never
-// served. Entries already resident, and entries beyond the byte budget
-// (MRU-prefix admission, like LoadSnapshot), are skipped without
-// counting as rejects.
+// versioned GraphID of the graph version this index currently serves, on
+// graph g — and returns how many collections it adopted. It applies
+// exactly the validation of a local snapshot restore (loadEntries): the
+// manifest and every entry object must record exactly graphID, an entry's
+// key must hash to its object name, the codec's checksums must verify, and
+// the node/edge counts must match g. Anything else, and every entry from
+// the first one beyond the byte budget on, is skipped and counted in
+// IndexStats.RestoreRejects — a stale or foreign snapshot is never served.
+// Entries already resident are skipped uncounted.
 //
 // An absent manifest is not an error: the graph simply was not published
 // and the adopter stays cold.
 func (x *Index) AdoptGraph(store SnapshotStore, graphID string, g *graph.Graph) (int, error) {
 	x.snapMu.Lock()
 	defer x.snapMu.Unlock()
-
-	prefix := storeGraphPrefix(graphID)
-	rc, err := store.Get(prefix + "/" + manifestName)
-	if errors.Is(err, fs.ErrNotExist) {
-		return 0, nil
-	}
-	if err != nil {
-		return 0, err
-	}
-	var man storeManifest
-	derr := json.NewDecoder(rc).Decode(&man)
-	//comic:allow errlost the decode result is what matters; Close on a read-through file cannot fail usefully
-	rc.Close()
-	if derr != nil || man.Version != manifestVersion || man.GraphID != graphID {
-		// A torn or foreign manifest forfeits the adoption, not the node.
-		x.mu.Lock()
-		x.stats.RestoreRejects++
-		x.mu.Unlock()
-		return 0, nil
-	}
-
-	type loadedEntry struct {
-		key        string
-		col        *rrset.Collection
-		order      *rrset.SeedOrder
-		req        *rrset.CollectionRequest
-		bytes      int64
-		orderBytes int64
-	}
-	var accepted []loadedEntry
-	var acceptedBytes int64
-	var rejects int64
-	budgetFull := false
-	for _, me := range man.Entries {
-		if budgetFull {
-			break // not a reject: the entries are intact, the budget is full
-		}
-		if me.GraphID != graphID {
-			rejects++ // manifest smuggling a foreign version's entry
-			continue
-		}
-		snap, err := readStoreSnapshot(store, prefix+"/"+me.File)
-		if err != nil {
-			rejects++ // corrupt / truncated / wrong version / missing
-			continue
-		}
-		if snap.GraphID != graphID || snapshotFileName(snap.Key) != me.File {
-			rejects++ // entry file does not belong where the manifest says
-			continue
-		}
-		if snap.GraphN != g.N() || snap.GraphM != g.M() {
-			rejects++ // the same N/M misuse guard the live index applies
-			continue
-		}
-		x.mu.Lock()
-		_, resident := x.entries[snap.Key]
-		x.mu.Unlock()
-		if resident {
-			continue // already warm locally; never replace a live entry
-		}
-		b := snap.Collection.Bytes()
-		var ob int64
-		if snap.Order != nil {
-			ob = snap.Order.Bytes()
-		}
-		if x.maxBytes > 0 && acceptedBytes+b+ob > x.maxBytes {
-			budgetFull = true
-			continue
-		}
-		var req *rrset.CollectionRequest
-		if me.Request != nil {
-			if cand := me.Request.toRequest(graphID, g); cand.Key() == snap.Key {
-				req = cand
-			}
-		}
-		acceptedBytes += b + ob
-		accepted = append(accepted, loadedEntry{snap.Key, snap.Collection, snap.Order, req, b, ob})
-	}
-
-	x.mu.Lock()
-	defer x.mu.Unlock()
-	adopted := 0
-	for i := len(accepted) - 1; i >= 0; i-- { // coldest first: PushFront rebuilds MRU order
-		l := accepted[i]
-		if _, ok := x.entries[l.key]; ok {
-			continue // a racing build landed while we read the store
-		}
-		e := &indexEntry{key: l.key, graphID: graphID, col: l.col, graph: g, bytes: l.bytes,
-			order: l.order, orderBytes: l.orderBytes, req: l.req}
-		x.entries[l.key] = x.lru.PushFront(e)
-		x.bytes += l.bytes + l.orderBytes
-		x.orderBytes += l.orderBytes
-		adopted++
-	}
-	x.evictOverBudgetLocked()
-	x.stats.Restores += int64(adopted)
-	x.stats.RestoreRejects += rejects
-	return adopted, nil
-}
-
-func readStoreSnapshot(store SnapshotStore, name string) (*rrset.Snapshot, error) {
-	rc, err := store.Get(name)
-	if err != nil {
-		return nil, err
-	}
-	defer rc.Close()
-	return rrset.ReadCollection(rc)
+	return x.loadEntries(store, storeGraphPrefix(graphID), graphID, map[string]*graph.Graph{graphID: g})
 }

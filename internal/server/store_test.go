@@ -298,8 +298,8 @@ func TestPublishGraphEmptyRetractsManifest(t *testing.T) {
 	if n, err := idx.PublishGraph(st, "snap#1"); err != nil || n != 1 {
 		t.Fatalf("publish = %d, %v", n, err)
 	}
-	// A publisher with nothing resident for the version retracts the
-	// manifest so adopters see an unpublished graph, not stale entries.
+	// A publisher with nothing resident for the version publishes an empty
+	// manifest, so adopters see no entries, not stale ones.
 	empty := server.NewIndex(0)
 	if n, err := empty.PublishGraph(st, "snap#1"); err != nil || n != 0 {
 		t.Fatalf("empty publish = %d, %v; want 0, nil", n, err)
@@ -308,4 +308,151 @@ func TestPublishGraphEmptyRetractsManifest(t *testing.T) {
 	if adopted, err := fresh.AdoptGraph(st, "snap#1", g); err != nil || adopted != 0 {
 		t.Fatalf("adopt after retraction = %d, %v; want 0, nil", adopted, err)
 	}
+}
+
+func TestPublishGraphPrunesEvicted(t *testing.T) {
+	g := snapGraph(t)
+	st, err := server.NewDirStore(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	reqA, reqB := snapReq(g, 300), snapReq(g, 500)
+	idx := server.NewIndex(0)
+	for _, req := range []rrset.CollectionRequest{reqA, reqB} {
+		if _, buildErr := idx.Collection(req); buildErr != nil {
+			t.Fatal(buildErr)
+		}
+	}
+	if n, pubErr := idx.PublishGraph(st, "snap#1"); pubErr != nil || n != 2 {
+		t.Fatalf("publish = %d, %v; want 2, nil", n, pubErr)
+	}
+
+	// The next publisher holds only A (B was evicted): B's object must go
+	// with it, not sit in the store forever.
+	onlyA := server.NewIndex(0)
+	if _, buildErr := onlyA.Collection(reqA); buildErr != nil {
+		t.Fatal(buildErr)
+	}
+	if n, pubErr := onlyA.PublishGraph(st, "snap#1"); pubErr != nil || n != 1 {
+		t.Fatalf("republish = %d, %v; want 1, nil", n, pubErr)
+	}
+	if left := rrsFiles(t, publishedDir(st, "snap#1")); len(left) != 1 {
+		t.Fatalf("republish left %d entry objects, want 1: %v", len(left), left)
+	}
+	fresh := server.NewIndex(0)
+	if adopted, adoptErr := fresh.AdoptGraph(st, "snap#1", g); adoptErr != nil || adopted != 1 {
+		t.Fatalf("adopt = %d, %v; want 1, nil", adopted, adoptErr)
+	}
+}
+
+// failingStore fails its n-th Put (counting from 1) and passes every other
+// call through to the wrapped store.
+type failingStore struct {
+	server.SnapshotStore
+	n, puts int
+}
+
+var errInjectedPut = errors.New("injected Put failure")
+
+func (s *failingStore) Put(name string, fill func(io.Writer) error) error {
+	s.puts++
+	if s.puts == s.n {
+		return errInjectedPut
+	}
+	return s.SnapshotStore.Put(name, fill)
+}
+
+// TestPublishGraphFailedPutKeepsOldOrNewSet: a republish that adds entry C
+// and evicts B may fail at any Put, yet an adopter must then restore
+// exactly the previously published set {A, B}, or {A, C} when the publish
+// succeeded, never a mix. SaveSnapshot runs the same writer.
+func TestPublishGraphFailedPutKeepsOldOrNewSet(t *testing.T) {
+	g := snapGraph(t)
+	reqs := []rrset.CollectionRequest{snapReq(g, 200), snapReq(g, 300), snapReq(g, 400)} // A, B, C
+	oldSet, newSet := []bool{true, true, false}, []bool{true, false, true}
+
+	// before holds A and B; after held them too until C evicted B under a
+	// budget of exactly A+C.
+	before := server.NewIndex(0)
+	for _, req := range reqs[:2] {
+		if _, err := before.Collection(req); err != nil {
+			t.Fatal(err)
+		}
+	}
+	sizes := server.NewIndex(0)
+	var budget int64
+	for _, req := range []rrset.CollectionRequest{reqs[0], reqs[2]} {
+		col, err := sizes.Collection(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		budget += col.Bytes()
+	}
+	after := server.NewIndex(budget)
+	for _, req := range []rrset.CollectionRequest{reqs[1], reqs[0], reqs[2]} {
+		if _, err := after.Collection(req); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if st := after.Stats(); st.Evictions != 1 || st.ResidentCollections != 2 {
+		t.Fatalf("after: %d evictions, %d resident; want B evicted", st.Evictions, st.ResidentCollections)
+	}
+
+	// adoptedSet reports which of reqs a fresh adopter of st serves warm.
+	adoptedSet := func(st server.SnapshotStore) []bool {
+		x := server.NewIndex(0)
+		if _, err := x.AdoptGraph(st, "snap#1", g); err != nil {
+			t.Fatal(err)
+		}
+		if rejects := x.Stats().RestoreRejects; rejects != 0 {
+			t.Fatalf("adopter counted %d rejects", rejects)
+		}
+		warm := make([]bool, len(reqs))
+		for i, req := range reqs {
+			hits := x.Stats().Hits
+			if _, err := x.Collection(req); err != nil {
+				t.Fatal(err)
+			}
+			warm[i] = x.Stats().Hits > hits
+		}
+		return warm
+	}
+
+	for n := 1; n <= 10; n++ {
+		st, err := server.NewDirStore(t.TempDir())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, pubErr := before.PublishGraph(st, "snap#1"); pubErr != nil {
+			t.Fatal(pubErr)
+		}
+		faulty := &failingStore{SnapshotStore: st, n: n}
+		_, pubErr := after.PublishGraph(faulty, "snap#1")
+		got := adoptedSet(st)
+		if pubErr != nil {
+			if !errors.Is(pubErr, errInjectedPut) {
+				t.Fatalf("Put %d: publish error %v, want the injected one", n, pubErr)
+			}
+			if !reflect.DeepEqual(got, oldSet) {
+				t.Fatalf("Put %d failed: adopter serves %v, want the old set %v", n, got, oldSet)
+			}
+			// The next publish recovers: the failure left nothing behind
+			// that a clean republish cannot supersede.
+			if _, err := after.PublishGraph(st, "snap#1"); err != nil {
+				t.Fatal(err)
+			}
+			if healed := adoptedSet(st); !reflect.DeepEqual(healed, newSet) {
+				t.Fatalf("Put %d failed, then a clean republish: adopter serves %v, want %v", n, healed, newSet)
+			}
+			continue
+		}
+		if faulty.puts >= n {
+			t.Fatalf("publish succeeded although its Put %d failed", n)
+		}
+		if !reflect.DeepEqual(got, newSet) {
+			t.Fatalf("publish succeeded: adopter serves %v, want the new set %v", got, newSet)
+		}
+		return
+	}
+	t.Fatal("republish still failing after 10 injected Put failures")
 }
