@@ -184,13 +184,13 @@ func slicesEqU32(a, b []uint32) bool {
 }
 
 // runStreamBench benchmarks incremental RR-set maintenance under a 1%
-// edge-update batch on the Flixster stand-in: one ε-driven RR-SIM
-// collection is built with postings, the batch is applied, and the
-// collection is repaired in place and compared field-for-field (arena,
-// postings, θ/KPT/λ — everything Repair promises bitwise) against a cold
-// rebuild on the patched graph, across worker counts 1, 2, and 7. The run
-// fails on any divergence, on a dirtiness fraction ≥ 0.2, or on a
-// threshold fallback.
+// edge-update batch on the Flixster stand-in: one ε-driven RR-SIM+
+// collection (the kind the serving path builds) is built with postings,
+// the batch is applied, and the collection is repaired in place and
+// compared field-for-field (arena, postings, θ/KPT/λ — everything Repair
+// promises bitwise) against a cold rebuild on the patched graph, across
+// worker counts 1, 2, and 7. The run fails on any divergence, on a
+// dirtiness fraction ≥ 0.2, or on a threshold fallback.
 func runStreamBench(cfg experiments.Config) (*streamRecord, error) {
 	name := "Flixster"
 	if len(cfg.DatasetNames) > 0 {
@@ -220,7 +220,7 @@ func runStreamBench(cfg experiments.Config) (*streamRecord, error) {
 		Edges:      g.M(),
 	}
 
-	// RR-SIM requires one-way complementarity (q_B|∅ = q_B|A), the same
+	// RR-SIM+ requires one-way complementarity (q_B|∅ = q_B|A), the same
 	// bound transformation the serving path's sandwich applies; pin the
 	// GAP the way the warmpath sweep does.
 	gap := d.GAP
@@ -228,7 +228,7 @@ func runStreamBench(cfg experiments.Config) (*streamRecord, error) {
 	req := rrset.CollectionRequest{
 		GraphID:  name,
 		Graph:    g,
-		Kind:     rrset.KindSIM,
+		Kind:     rrset.KindSIMPlus,
 		GAP:      gap,
 		Opposite: comic.HighDegreeSeeds(g, oppSize),
 		K:        k,

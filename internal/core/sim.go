@@ -1,8 +1,9 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"comic/internal/graph"
 	"comic/internal/rng"
@@ -407,12 +408,13 @@ func (s *Simulator) propagateStep() {
 
 	// Group the previous step's adoptions by node so that a node that
 	// adopted both items shares one tie-break rank per out-edge and informs
-	// in its own adoption order.
-	sort.Slice(s.cur, func(i, j int) bool {
-		if s.cur[i].node != s.cur[j].node {
-			return s.cur[i].node < s.cur[j].node
+	// in its own adoption order. Both sorts here order distinct entries
+	// totally, so their results do not depend on the sort algorithm.
+	slices.SortFunc(s.cur, func(a, b adoptEvent) int {
+		if a.node != b.node {
+			return cmp.Compare(a.node, b.node)
 		}
-		return s.cur[i].seq < s.cur[j].seq
+		return cmp.Compare(a.seq, b.seq)
 	})
 	for i := 0; i < len(s.cur); {
 		j := i + 1
@@ -439,18 +441,20 @@ func (s *Simulator) propagateStep() {
 	// Tie-breaking (Figure 2, step 2): within each target, informing
 	// in-neighbors are ordered by rank (a uniform permutation); a neighbor
 	// that adopted both items informs both in its adoption order.
-	sort.Slice(s.informs, func(i, j int) bool {
-		a, b := &s.informs[i], &s.informs[j]
+	slices.SortFunc(s.informs, func(a, b informEntry) int {
 		if a.target != b.target {
-			return a.target < b.target
+			return cmp.Compare(a.target, b.target)
 		}
 		if a.rank != b.rank {
-			return a.rank < b.rank
+			if a.rank < b.rank {
+				return -1
+			}
+			return 1
 		}
 		if a.src != b.src {
-			return a.src < b.src
+			return cmp.Compare(a.src, b.src)
 		}
-		return a.srcSeq < b.srcSeq
+		return cmp.Compare(a.srcSeq, b.srcSeq)
 	})
 	for i := range s.informs {
 		s.processInform(s.informs[i].target, s.informs[i].item)

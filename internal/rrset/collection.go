@@ -116,7 +116,7 @@ func (c *Collection) Bytes() int64 {
 		b += c.cover.bytes()
 	}
 	if c.postings != nil {
-		b += c.postings.bytes()
+		b += c.postings.Bytes()
 	}
 	return b
 }
@@ -250,9 +250,11 @@ type CollectionRequest struct {
 	// K is the cardinality constraint driving θ via Eq. 3.
 	K int
 	// Opts carries the TIM budget knobs. Workers and RecordPostings do not
-	// affect the generated sets and are excluded from Key (a cache may
-	// therefore return a postings-less collection for a recording request;
-	// Repair reports ErrNoPostings and the caller rebuilds).
+	// affect the generated sets and are excluded from Key, so a cache may
+	// return a postings-less collection for a recording request. Repair
+	// then reports ErrNoPostings. Rebuilding the same request with
+	// RecordPostings on yields the same sets plus postings; that is how
+	// internal/server.Index derives them at a collection's first PATCH.
 	Opts Options
 	// Seed is the master seed of the deterministic generation streams.
 	Seed uint64

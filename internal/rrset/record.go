@@ -26,7 +26,9 @@ type Postings struct {
 	Nodes   []int32
 }
 
-func (p *Postings) bytes() int64 {
+// Bytes returns the exact resident memory of the index, the share of
+// Collection.Bytes it accounts for.
+func (p *Postings) Bytes() int64 {
 	return int64(unsafe.Sizeof(*p)) +
 		8*int64(cap(p.EdgeOff)) + 4*int64(cap(p.Edges)) +
 		8*int64(cap(p.NodeOff)) + 4*int64(cap(p.Nodes))

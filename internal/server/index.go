@@ -139,15 +139,25 @@ type IndexStats struct {
 	// OrderBytes is the resident memory of memoized seed orderings, a
 	// subset of ResidentBytes.
 	OrderBytes int64 `json:"orderBytes"`
+	// PostingsBytes is the resident memory of the postings (the per-set
+	// examination index repair reads), a subset of ResidentBytes. Builds
+	// record none: only collections a PATCH repaired, or restored with a
+	// postings section, hold them.
+	PostingsBytes int64 `json:"postingsBytes"`
 	// Repairs counts collections migrated in place by RepairGraph after a
 	// graph PATCH; RepairedSets counts the RR sets those repairs actually
 	// regenerated (dirty + top-up — the work a full rebuild would have
 	// multiplied by θ/regenerated). RepairFallbacks counts collections a
-	// PATCH dropped instead — no postings index, dirtiness above the
-	// threshold, or a failed repair — leaving the next query to rebuild.
+	// PATCH dropped instead — no retained request, a failed postings
+	// derivation, dirtiness above the threshold, or a failed repair —
+	// leaving the next query to rebuild.
 	Repairs         int64 `json:"repairs"`
 	RepairedSets    int64 `json:"repairedSets"`
 	RepairFallbacks int64 `json:"repairFallbacks"`
+	// PostingsDerived counts collections whose postings a PATCH derived
+	// before repairing them: a collection without postings is rebuilt on
+	// its old generation with recording on.
+	PostingsDerived int64 `json:"postingsDerived"`
 	// RepairTime is the cumulative wall time RepairGraph spent repairing.
 	RepairTime time.Duration `json:"repairTimeNs"`
 	// ResidentCollections and ResidentBytes describe current occupancy.
@@ -192,11 +202,11 @@ func (x *Index) SetMaxOrderK(k int) {
 // Collection returns the collection for req, building it at most once per
 // distinct key no matter how many goroutines ask concurrently. Errors are
 // not cached; a later identical request retries the build.
+//
+// A build records postings only if req asks for them. The index never
+// forces them: a graph that is never patched never pays for them, and
+// RepairGraph derives them at a collection's first PATCH.
 func (x *Index) Collection(req rrset.CollectionRequest) (*rrset.Collection, error) {
-	// Recording the examination index never changes the generated sets
-	// (the flag is excluded from Key, like Workers); it is what makes the
-	// collection repairable in place after a graph PATCH.
-	req.Opts.RecordPostings = true
 	key := req.Key()
 
 	x.mu.Lock()
@@ -510,9 +520,16 @@ type RepairSummary struct {
 // patched graph: each is repaired incrementally (rrset.Repair) — bitwise
 // identical to a cold rebuild on the patched graph, but regenerating only
 // the RR sets the update batch dirtied — and re-keyed under newID, the
-// patched generation's GraphID. Collections that cannot be repaired (no
-// postings index, no retained request, dirtiness above maxDirtyFrac, or a
-// failed repair) are dropped; the next query rebuilds them cold.
+// patched generation's GraphID. Repaired collections record postings, so
+// later patches repair them directly.
+//
+// Builds record no postings (see Collection), so a collection's first
+// PATCH derives them: it rebuilds the retained request on old with
+// RecordPostings on. That rebuild draws from the same per-set streams, so
+// it holds the same sets, and repair proceeds from it. Collections that
+// cannot be repaired (no retained request, a failed derivation,
+// dirtiness above maxDirtyFrac, or a failed repair) are dropped; the next
+// query rebuilds them cold.
 //
 // The caller (the PATCH path) must keep the old generation referenced in
 // the registry while this runs, so a concurrent delete cannot drop
@@ -548,6 +565,7 @@ func (x *Index) RepairGraph(old, patched *graph.Graph, newID string, delta *grap
 	sum.Collections = len(cands)
 	var migs []migration
 	var drops []cand
+	var derived int64
 	t0 := time.Now()
 	for _, c := range cands {
 		if c.e.req == nil {
@@ -556,10 +574,20 @@ func (x *Index) RepairGraph(old, patched *graph.Graph, newID string, delta *grap
 			continue
 		}
 		req := *c.e.req
+		req.Opts.RecordPostings = true
+		from := c.e.col
+		if !from.HasPostings() {
+			var err error
+			if from, err = buildSafely(req); err != nil {
+				drops = append(drops, c)
+				sum.Fallbacks++
+				continue
+			}
+			derived++
+		}
 		req.Graph = patched
 		req.GraphID = newID
-		req.Opts.RecordPostings = true
-		col, rst, err := repairSafely(c.e.col, req, delta, maxDirtyFrac)
+		col, rst, err := repairSafely(from, req, delta, maxDirtyFrac)
 		if err != nil || col == nil {
 			drops = append(drops, c)
 			sum.Fallbacks++
@@ -603,6 +631,7 @@ func (x *Index) RepairGraph(old, patched *graph.Graph, newID string, delta *grap
 	x.stats.Repairs += int64(sum.Repaired)
 	x.stats.RepairedSets += int64(sum.RepairedSets)
 	x.stats.RepairFallbacks += int64(sum.Fallbacks)
+	x.stats.PostingsDerived += derived
 	x.stats.RepairTime += repairTime
 	x.mu.Unlock()
 
@@ -649,6 +678,11 @@ func (x *Index) Stats() IndexStats {
 	st.ResidentCollections = x.lru.Len()
 	st.ResidentBytes = x.bytes
 	st.OrderBytes = x.orderBytes
+	for el := x.lru.Front(); el != nil; el = el.Next() {
+		if p := el.Value.(*indexEntry).col.PostingsIndex(); p != nil {
+			st.PostingsBytes += p.Bytes()
+		}
+	}
 	st.MaxBytes = x.maxBytes
 	return st
 }

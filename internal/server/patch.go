@@ -17,9 +17,10 @@ import (
 // recorded edge examinations the batch actually touched are regenerated,
 // from the same pinned RNG streams a cold rebuild would use, so the
 // repaired collections are bitwise identical to a from-scratch build on
-// the patched graph. Collections that cannot be repaired (no postings
-// index, dirtiness above the threshold, foreign generator) are dropped
-// and rebuild lazily on the next query.
+// the patched graph. A collection's first patch derives the postings
+// repair reads (see Index.RepairGraph). Collections that cannot be
+// repaired (no retained request, dirtiness above the threshold, foreign
+// generator) are dropped and rebuild lazily on the next query.
 //
 // Consistency: in-flight solves pinned the previous generation and finish
 // on it; new requests resolve the patched generation. The optional

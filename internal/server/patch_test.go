@@ -90,9 +90,13 @@ func TestPatchAdvancesGenerationAndRepairs(t *testing.T) {
 	if rec := do(t, s, http.MethodPost, "/v1/selfinfmax", solveBody, &warm); rec.Code != http.StatusOK {
 		t.Fatalf("warm solve = %d %q", rec.Code, rec.Body.String())
 	}
-	builds := s.Index().Stats().Misses
+	st := s.Index().Stats()
+	builds := st.Misses
 	if builds == 0 {
 		t.Fatal("warm solve built no collections")
+	}
+	if st.PostingsBytes != 0 {
+		t.Fatalf("never-patched graph holds %d postings bytes, want 0", st.PostingsBytes)
 	}
 
 	patchBody, ups := reweightBatch(t, d.Graph, 5, 0.5)
@@ -112,7 +116,8 @@ func TestPatchAdvancesGenerationAndRepairs(t *testing.T) {
 	if pr.Repair.Collections == 0 || pr.Repair.Repaired != pr.Repair.Collections || pr.Repair.Fallbacks != 0 {
 		t.Fatalf("repair summary %+v, want every collection repaired", pr.Repair)
 	}
-	if st := s.Index().Stats(); st.Repairs != int64(pr.Repair.Repaired) || st.RepairFallbacks != 0 {
+	if st := s.Index().Stats(); st.Repairs != int64(pr.Repair.Repaired) || st.RepairFallbacks != 0 ||
+		st.PostingsDerived != int64(pr.Repair.Collections) || st.PostingsBytes == 0 {
 		t.Fatalf("index stats %+v disagree with repair summary %+v", st, pr.Repair)
 	}
 

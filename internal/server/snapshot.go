@@ -228,11 +228,10 @@ func (rm *requestMeta) toRequest(graphID string, g *graph.Graph) *rrset.Collecti
 		Opposite: rm.Opposite,
 		K:        rm.K,
 		Opts: rrset.Options{
-			Epsilon:        rm.Epsilon,
-			Ell:            rm.Ell,
-			FixedTheta:     rm.FixedTheta,
-			MaxTheta:       rm.MaxTheta,
-			RecordPostings: true,
+			Epsilon:    rm.Epsilon,
+			Ell:        rm.Ell,
+			FixedTheta: rm.FixedTheta,
+			MaxTheta:   rm.MaxTheta,
 		},
 		Seed: rm.Seed,
 	}
