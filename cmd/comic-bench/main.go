@@ -11,13 +11,12 @@
 //	comic-bench -exp restore -scale 0.02 -json BENCH_restore.json
 //	comic-bench -exp regimes -scale 0.02 -json BENCH_regimes.json
 //	comic-bench -exp warmpath -scale 0.02 -json BENCH_warmpath.json
-//	comic-bench -exp stream -scale 0.02 -json BENCH_stream.json
 //	comic-bench -exp cluster -scale 0.02 -mc 200 -json BENCH_cluster.json
 //	comic-bench -check fresh.json BENCH_selfinfmax.json
 //
 // Experiment ids: table1, table2, table3, table4, table5-7, table8, fig4,
 // fig5, fig6, fig7a, fig7b, fig8, selfinfmax, batch, restore, regimes,
-// warmpath, stream, cluster, all. At -scale 1 the datasets match the paper's Table 1 sizes (slow on a
+// warmpath, cluster, all. At -scale 1 the datasets match the paper's Table 1 sizes (slow on a
 // laptop); the default 0.05 reproduces the shapes in minutes.
 //
 // The selfinfmax experiment times one cold and one warm SelfInfMax solve
@@ -51,14 +50,6 @@
 // cold timing per regime, and failing on any seed divergence between two
 // identical cold solves. The committed BENCH_regimes.json pins every
 // route's output, so a routing change can never land silently.
-//
-// The stream experiment pins the incremental RR-set maintenance path: one
-// ε-driven collection built with postings, a deterministic 1%-of-edges
-// reweight batch over the hub in-edges (the streaming steady state), and
-// a Repair that must be identical, field for field (sets, postings, θ,
-// KPT), to a cold rebuild on the patched graph at worker counts 1, 2, and 7, while
-// dirtying less than 20% of the sets. The committed record pins the batch
-// composition, θ trajectory, repair accounting, and post-repair seeds.
 //
 // The cluster experiment stands up a three-node in-process comic-serve
 // cluster over a shared snapshot store and pins the sharded serving path:
@@ -194,18 +185,6 @@ func main() {
 		}
 		if err := rec.render(os.Stdout, *jsonOut); err != nil {
 			fmt.Fprintf(os.Stderr, "comic-bench: regimes: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *exp == "stream" {
-		rec, err := runStreamBench(cfg)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "comic-bench: stream: %v\n", err)
-			os.Exit(1)
-		}
-		if err := rec.render(os.Stdout, *jsonOut); err != nil {
-			fmt.Fprintf(os.Stderr, "comic-bench: stream: %v\n", err)
 			os.Exit(1)
 		}
 		return

@@ -43,7 +43,7 @@ type AddedEdge struct {
 // Delta describes the net effect of an ApplyUpdates batch: how the old
 // edge-id space maps onto the new one, plus the reweighted, removed, and
 // added edges after intra-batch cancellation (an edge added then removed in
-// the same batch appears nowhere). Incremental RR-set repair consumes this.
+// the same batch appears nowhere).
 type Delta struct {
 	OldM int
 	NewM int

@@ -96,8 +96,6 @@ func (c *CIM) Clone() Generator {
 	return n
 }
 
-func (c *CIM) setRecorder(rec *recorder) { c.s.rec = rec }
-
 func (c *CIM) labelOf(v int32) uint8 {
 	if c.labelStamp[v] != c.labelEpoch {
 		return lblNone
@@ -152,7 +150,6 @@ func (c *CIM) forwardLabel() {
 	for head := 0; head < len(c.queue); head++ {
 		u := c.queue[head]
 		lu := c.labelOf(u)
-		c.s.scanned(u)
 		to, eids := g.OutNeighbors(u)
 		for i := range to {
 			v := to[i]
@@ -201,7 +198,6 @@ func (c *CIM) secondaryBackwardB(u int32, out *RRSet) {
 	c.svisited.mark(u)
 	for head := 0; head < len(c.squeue); head++ {
 		x := c.squeue[head]
-		c.s.scanned(x)
 		from, eids := g.InNeighbors(x)
 		for i := range from {
 			w := from[i]
@@ -233,7 +229,6 @@ func (c *CIM) case4(u int32) bool {
 	c.sf.mark(u)
 	for head := 0; head < len(c.squeue); head++ {
 		x := c.squeue[head]
-		c.s.scanned(x)
 		to, eids := g.OutNeighbors(x)
 		for i := range to {
 			y := to[i]
@@ -256,7 +251,6 @@ func (c *CIM) case4(u int32) bool {
 	found := false
 	for head := 0; head < len(c.squeue) && !found; head++ {
 		x := c.squeue[head]
-		c.s.scanned(x)
 		from, eids := g.InNeighbors(x)
 		for i := range from {
 			w := from[i]
@@ -318,7 +312,6 @@ func (c *CIM) Generate(root int32, r *rng.RNG, out *RRSet) {
 		case lblPotential:
 			if c.abDiffusible(u) {
 				// Case 3: relay; explore in-neighbors.
-				c.s.scanned(u)
 				from, eids := g.InNeighbors(u)
 				for i := range from {
 					c.counters.EdgesBackward++

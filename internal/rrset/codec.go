@@ -51,26 +51,9 @@ import (
 // best-effort and on ANY failure — absence, truncation, foreign version,
 // checksum or bind mismatch, structural nonsense — returns the collection
 // with a nil Order, never an error. A damaged order can only cost a
-// recompute, not a restore and never a result.
-//
-// A second OPTIONAL section persists the examination index (Postings) of a
-// collection built with Options.RecordPostings, so a restored server can
-// keep repairing its collections across graph edits:
-//
-//	magic "CPST" | version u32
-//	bindCRC u32                  (the main section's crc32c)
-//	numSets, numEdges, numNodes  (i64; numSets must match the collection)
-//	edgeOff  (numSets+1 × i64)
-//	edges    (numEdges × u32, packed eid<<1 | liveBit)
-//	nodeOff  (numSets+1 × i64)
-//	nodes    (numNodes × i32)
-//	crc32c of the section        (u32)
-//
-// Optional sections may appear in any order after the main payload, each at
-// most once, and are recognized by magic; parsing stops at the first
-// unrecognized or damaged section. Like the order, postings are strictly an
-// accelerator: a damaged section degrades the restored collection to
-// non-repairable (Repair returns ErrNoPostings and the server rebuilds).
+// recompute, not a restore and never a result. Anything after the order
+// section, or in its place, is ignored: older writers appended a postings
+// section ("CPST"), and their snapshots still restore.
 //
 // Every array length is cross-checked against the header and against the
 // collection's own invariants (offsets monotone from 0 to numNodes, roots
@@ -92,13 +75,6 @@ var orderMagic = [4]byte{'C', 'O', 'R', 'D'}
 // OrderSectionVersion is the current seed-order section version. A foreign
 // version degrades to a nil Order on read, it does not fail the restore.
 const OrderSectionVersion = 1
-
-// postingsMagic introduces the optional examination-index section.
-var postingsMagic = [4]byte{'C', 'P', 'S', 'T'}
-
-// PostingsSectionVersion is the current postings section version. A foreign
-// version degrades to nil postings on read, it does not fail the restore.
-const PostingsSectionVersion = 1
 
 // maxSnapshotStringLen bounds the key and graphID strings in a snapshot
 // header; real cache keys are a few hundred bytes.
@@ -212,31 +188,6 @@ func (s *Snapshot) WriteTo(w io.Writer) (int64, error) {
 		}
 		e.err = oe.err
 	}
-	if e.err == nil && col.postings != nil {
-		p := col.postings
-		if int64(len(p.EdgeOff)) != numSets+1 || int64(len(p.NodeOff)) != numSets+1 {
-			return cw.n, fmt.Errorf("rrset: snapshot postings cover %d/%d sets, collection has %d",
-				len(p.EdgeOff)-1, len(p.NodeOff)-1, numSets)
-		}
-		pcrc := crc32.New(crcTable)
-		pe := &encoder{w: io.MultiWriter(bw, pcrc)}
-		pe.raw(postingsMagic[:])
-		pe.u32(PostingsSectionVersion)
-		pe.u32(mainCRC)
-		pe.i64(numSets)
-		pe.i64(int64(len(p.Edges)))
-		pe.i64(int64(len(p.Nodes)))
-		pe.i64s(p.EdgeOff)
-		pe.u32s(p.Edges)
-		pe.i64s(p.NodeOff)
-		pe.i32s(p.Nodes)
-		if pe.err == nil {
-			var b [4]byte
-			binary.LittleEndian.PutUint32(b[:], pcrc.Sum32())
-			_, pe.err = bw.Write(b[:])
-		}
-		e.err = pe.err
-	}
 	if e.err == nil {
 		e.err = bw.Flush()
 	}
@@ -347,27 +298,7 @@ func ReadCollection(r io.Reader) (*Snapshot, error) {
 		}
 	}
 	col.cover = buildCoverIndex(col.offsets, col.nodes, int(graphN))
-
-	// Optional trailing sections, recognized by magic, each best-effort: a
-	// failed parse leaves the stream position unknown, so stop at the first
-	// failure (or unrecognized magic) rather than misparse what follows.
-	for {
-		magic, perr := br.Peek(4)
-		if perr != nil || len(magic) < 4 {
-			break
-		}
-		if string(magic) == string(orderMagic[:]) && s.Order == nil {
-			if s.Order = readOrderSection(br, want, graphN, numSets); s.Order == nil {
-				break
-			}
-		} else if string(magic) == string(postingsMagic[:]) && col.postings == nil {
-			if col.postings = readPostingsSection(br, want, graphN, graphM, numSets); col.postings == nil {
-				break
-			}
-		} else {
-			break
-		}
-	}
+	s.Order = readOrderSection(br, want, graphN, numSets)
 	return s, nil
 }
 
@@ -419,63 +350,6 @@ func readOrderSection(r io.Reader, mainCRC uint32, graphN, numSets int64) *SeedO
 		}
 	}
 	return &SeedOrder{seeds: seeds, covered: covered, n: int(graphN), theta: int(numSets)}
-}
-
-// readPostingsSection parses the optional examination-index section.
-// Best-effort like readOrderSection: any failure — truncation, foreign
-// version, checksum or bind mismatch, structural nonsense — returns nil and
-// the restored collection is simply not repairable. Validation mirrors the
-// invariants BuildCollection guarantees: offsets monotone spanning the
-// arrays, edge ids inside [0, graphM), node ids inside [0, graphN).
-func readPostingsSection(r io.Reader, mainCRC uint32, graphN, graphM, numSets int64) *Postings {
-	crc := crc32.New(crcTable)
-	d := &decoder{r: io.TeeReader(r, crc), scratch: make([]byte, 1<<16)}
-	var magic [4]byte
-	d.raw(magic[:])
-	version := d.u32()
-	bind := d.u32()
-	sets := d.i64()
-	numEdges := d.i64()
-	numNodes := d.i64()
-	if d.err != nil || magic != postingsMagic || version != PostingsSectionVersion || bind != mainCRC {
-		return nil
-	}
-	if sets != numSets || numEdges < 0 || numEdges > maxSnapshotCount ||
-		numNodes < 0 || numNodes > maxSnapshotCount {
-		return nil
-	}
-	p := &Postings{}
-	p.EdgeOff = d.i64s(numSets + 1)
-	p.Edges = d.u32s(numEdges)
-	p.NodeOff = d.i64s(numSets + 1)
-	p.Nodes = d.i32s(numNodes)
-	if d.err != nil {
-		return nil
-	}
-	want := crc.Sum32()
-	if got := d.u32(); d.err != nil || got != want {
-		return nil
-	}
-	if p.EdgeOff[0] != 0 || p.EdgeOff[numSets] != numEdges ||
-		p.NodeOff[0] != 0 || p.NodeOff[numSets] != numNodes {
-		return nil
-	}
-	for i := int64(0); i < numSets; i++ {
-		if p.EdgeOff[i+1] < p.EdgeOff[i] || p.NodeOff[i+1] < p.NodeOff[i] {
-			return nil
-		}
-	}
-	for _, w := range p.Edges {
-		if int64(w>>1) >= graphM {
-			return nil
-		}
-	}
-	for _, v := range p.Nodes {
-		if int64(v) < 0 || int64(v) >= graphN {
-			return nil
-		}
-	}
-	return p
 }
 
 // --- encoding plumbing ---
@@ -539,17 +413,6 @@ func (e *encoder) i64s(vs []int64) {
 			binary.LittleEndian.PutUint64(e.buf[i*8:], uint64(vs[i]))
 		}
 		e.raw(e.buf[: chunk*8 : chunk*8])
-		vs = vs[chunk:]
-	}
-}
-
-func (e *encoder) u32s(vs []uint32) {
-	for len(vs) > 0 && e.err == nil {
-		chunk := min(len(vs), len(e.buf)/4)
-		for i := 0; i < chunk; i++ {
-			binary.LittleEndian.PutUint32(e.buf[i*4:], vs[i])
-		}
-		e.raw(e.buf[: chunk*4 : chunk*4])
 		vs = vs[chunk:]
 	}
 }
@@ -673,24 +536,6 @@ func (d *decoder) i32s(count int64) []int32 {
 		}
 		for i := 0; i < chunk; i++ {
 			out = append(out, int32(binary.LittleEndian.Uint32(b[i*4:])))
-		}
-	}
-	return exactLen(out, count)
-}
-
-func (d *decoder) u32s(count int64) []uint32 {
-	if d.err != nil {
-		return nil
-	}
-	out := make([]uint32, 0, min(count, decodePrealloc))
-	for int64(len(out)) < count {
-		chunk := int(min(count-int64(len(out)), int64(len(d.scratch)/4)))
-		b := d.full(chunk * 4)
-		if d.err != nil {
-			return nil
-		}
-		for i := 0; i < chunk; i++ {
-			out = append(out, binary.LittleEndian.Uint32(b[i*4:]))
 		}
 	}
 	return exactLen(out, count)

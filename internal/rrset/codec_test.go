@@ -290,6 +290,28 @@ func TestSnapshotOrderRoundTrip(t *testing.T) {
 	if !reflect.DeepEqual(old.Collection, got.Collection) {
 		t.Fatal("collection differs with and without the order section")
 	}
+	// Older writers appended a postings section ("CPST": version, bindCRC,
+	// set/edge/node counts, two offset arrays, checksum) after the order.
+	// The reader ignores it: collection and order restore intact.
+	var sec bytes.Buffer
+	theta := int64(s.Collection.Len())
+	sec.WriteString("CPST")
+	for _, v := range []any{uint32(1), binary.LittleEndian.Uint32(data[plain-4 : plain]), theta, int64(0), int64(0),
+		make([]int64, theta+1), make([]int64, theta+1)} {
+		if werr := binary.Write(&sec, binary.LittleEndian, v); werr != nil {
+			t.Fatal(werr)
+		}
+	}
+	if werr := binary.Write(&sec, binary.LittleEndian, crc32.Checksum(sec.Bytes(), crcTable)); werr != nil {
+		t.Fatal(werr)
+	}
+	withPostings, err := ReadCollection(bytes.NewReader(append(append([]byte(nil), data...), sec.Bytes()...)))
+	if err != nil {
+		t.Fatalf("ReadCollection (trailing postings section): %v", err)
+	}
+	if !reflect.DeepEqual(withPostings.Collection, got.Collection) || !reflect.DeepEqual(withPostings.Order, s.Order) {
+		t.Fatal("a trailing postings section changed the restored collection or order")
+	}
 }
 
 func TestSnapshotWriteRejectsMismatchedOrder(t *testing.T) {

@@ -50,11 +50,6 @@ type Collection struct {
 	// collections; selection then builds an ephemeral one (coverFor).
 	cover *coverIndex
 
-	// postings is the optional examination index recorded when the
-	// collection was generated with Options.RecordPostings; nil otherwise.
-	// It is what makes the collection repairable after graph edits.
-	postings *Postings
-
 	// Theta is the RR-set budget that was generated (Eq. 3, or FixedTheta).
 	Theta int
 	// KPT is the estimated lower bound of OPT_k (0 when FixedTheta was set).
@@ -93,15 +88,6 @@ func (c *Collection) Set(i int) RRSet {
 	return RRSet{Root: c.roots[i], Nodes: c.NodesOf(i), Width: c.widths[i]}
 }
 
-// HasPostings reports whether the collection carries the examination index
-// Repair requires (built with Options.RecordPostings, or restored from a
-// snapshot whose postings section survived).
-func (c *Collection) HasPostings() bool { return c.postings != nil }
-
-// PostingsIndex returns the examination index, or nil. The returned struct
-// and its arrays are immutable shared state; callers must not modify them.
-func (c *Collection) PostingsIndex() *Postings { return c.postings }
-
 // Bytes returns the exact resident memory of the collection — the struct,
 // its four arena arrays, and the packed coverage index, all allocated with
 // len == cap — the quantity an LRU cache budgets against. (The runtime
@@ -114,9 +100,6 @@ func (c *Collection) Bytes() int64 {
 		4*int64(cap(c.roots)) + 8*int64(cap(c.widths))
 	if c.cover != nil {
 		b += c.cover.bytes()
-	}
-	if c.postings != nil {
-		b += c.postings.Bytes()
 	}
 	return b
 }
@@ -152,7 +135,7 @@ func BuildCollection(gen Generator, m, k int, opts Options, seed uint64) *Collec
 
 	//comic:timing reported phase duration; never feeds seed selection
 	t1 := time.Now()
-	col.offsets, col.nodes, col.roots, col.widths, col.postings = collectFlat(gen, theta, opts.Workers, seed, opts.RecordPostings)
+	col.offsets, col.nodes, col.roots, col.widths = collectFlat(gen, theta, opts.Workers, seed)
 	//comic:timing reported phase duration; never feeds seed selection
 	col.GenDuration = time.Since(t1)
 	col.TotalNodes = int64(len(col.nodes))
@@ -249,12 +232,8 @@ type CollectionRequest struct {
 	Opposite []int32
 	// K is the cardinality constraint driving θ via Eq. 3.
 	K int
-	// Opts carries the TIM budget knobs. Workers and RecordPostings do not
-	// affect the generated sets and are excluded from Key, so a cache may
-	// return a postings-less collection for a recording request. Repair
-	// then reports ErrNoPostings. Rebuilding the same request with
-	// RecordPostings on yields the same sets plus postings; that is how
-	// internal/server.Index derives them at a collection's first PATCH.
+	// Opts carries the TIM budget knobs. Workers does not affect the
+	// generated sets and is excluded from Key.
 	Opts Options
 	// Seed is the master seed of the deterministic generation streams.
 	Seed uint64

@@ -33,8 +33,6 @@ func (ic *IC) Counters() *Counters { return &ic.counters }
 // Clone implements Generator.
 func (ic *IC) Clone() Generator { return NewIC(ic.s.g) }
 
-func (ic *IC) setRecorder(rec *recorder) { ic.s.rec = rec }
-
 // Generate implements Generator.
 func (ic *IC) Generate(root int32, r *rng.RNG, out *RRSet) {
 	g := ic.s.g
@@ -50,7 +48,6 @@ func (ic *IC) Generate(root int32, r *rng.RNG, out *RRSet) {
 	for head := 0; head < len(ic.queue); head++ {
 		u := ic.queue[head]
 		addNode(g, out, u)
-		ic.s.scanned(u)
 		from, eids := g.InNeighbors(u)
 		for i := range from {
 			ic.counters.EdgesBackward++

@@ -103,12 +103,6 @@ type sampler struct {
 	alAStmp []uint32
 	alB     []float64
 	alBStmp []uint32
-
-	// rec, when non-nil, captures the examination trace (edge coins and
-	// scanned adjacency lists) of each generated set for Repair. Recording
-	// never draws from r, so attached or not, the generated sets are
-	// bitwise identical.
-	rec *recorder
 }
 
 func newSampler(g *graph.Graph) sampler {
@@ -150,21 +144,8 @@ func (s *sampler) edgeLive(eid int32) bool {
 			w = s.epoch<<2 | 2
 		}
 		s.eMemo[eid] = w
-		if s.rec != nil {
-			// First examination this epoch: exactly the draws a replay
-			// would re-consume, already deduplicated by the memo.
-			s.rec.edge(eid, w&3 == 1)
-		}
 	}
 	return w&3 == 1
-}
-
-// scanned notes that v's adjacency list is about to be walked; an edge later
-// added at v could be examined by a replay of this set.
-func (s *sampler) scanned(v int32) {
-	if s.rec != nil {
-		s.rec.node(v)
-	}
 }
 
 func (s *sampler) alphaA(v int32) float64 {

@@ -67,8 +67,6 @@ func (s *SIM) Clone() Generator {
 	return c
 }
 
-func (s *SIM) setRecorder(rec *recorder) { s.s.rec = rec }
-
 // forwardLabelB runs Phase II of Algorithm 2: mark every node that adopts B
 // given the fixed B-seed set. Because q_{B|∅} = q_{B|A}, B's diffusion is
 // independent of A (Lemma 3), so the label is exact.
@@ -85,7 +83,6 @@ func (s *SIM) forwardLabelB() {
 	// and reallocate the queue on every generation (see IC.Generate).
 	for head := 0; head < len(s.queue); head++ {
 		u := s.queue[head]
-		s.s.scanned(u)
 		to, eids := g.OutNeighbors(u)
 		for i := range to {
 			v := to[i]
@@ -128,7 +125,6 @@ func (s *SIM) Generate(root int32, r *rng.RNG, out *RRSet) {
 			// in-neighbors cannot push A through it (Case 1(ii)/2(ii)).
 			continue
 		}
-		s.s.scanned(u)
 		from, eids := g.InNeighbors(u)
 		for i := range from {
 			s.counters.EdgesBackward++

@@ -57,8 +57,6 @@ func (s *SIMPlus) Clone() Generator {
 	return c
 }
 
-func (s *SIMPlus) setRecorder(rec *recorder) { s.s.rec = rec }
-
 // Generate implements Generator.
 func (s *SIMPlus) Generate(root int32, r *rng.RNG, out *RRSet) {
 	g := s.s.g
@@ -75,7 +73,6 @@ func (s *SIMPlus) Generate(root int32, r *rng.RNG, out *RRSet) {
 	s.t1.mark(root)
 	for head := 0; head < len(s.queue); head++ {
 		u := s.queue[head]
-		s.s.scanned(u)
 		from, eids := g.InNeighbors(u)
 		for i := range from {
 			if s.t1.has(from[i]) {
@@ -102,7 +99,6 @@ func (s *SIMPlus) Generate(root int32, r *rng.RNG, out *RRSet) {
 	}
 	for head := 0; head < len(s.queue); head++ {
 		u := s.queue[head]
-		s.s.scanned(u)
 		to, eids := g.OutNeighbors(u)
 		for i := range to {
 			v := to[i]
@@ -134,7 +130,6 @@ func (s *SIMPlus) Generate(root int32, r *rng.RNG, out *RRSet) {
 		if !relays {
 			continue
 		}
-		s.s.scanned(u)
 		from, eids := g.InNeighbors(u)
 		for i := range from {
 			s.counters.EdgesBackward++

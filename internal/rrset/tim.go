@@ -21,16 +21,6 @@ type Options struct {
 	MaxTheta int
 	// Workers bounds parallelism (default GOMAXPROCS).
 	Workers int
-	// RecordPostings attaches the per-set examination index (Postings) to
-	// the built collection, enabling incremental Repair after graph edits.
-	// Recording never changes the generated sets — like Workers it is
-	// excluded from CollectionRequest.Key — but it is not cheap: postings
-	// hold every edge coin a set drew, not just the set's nodes. They
-	// measured 12× the collection's own bytes on the Flixster stand-in at
-	// scale 0.02, and ~400× on a 10⁵-node power-law graph, where
-	// generation also ran 2.3× slower. Record only for a collection that
-	// is about to be repaired.
-	RecordPostings bool
 }
 
 func (o Options) withDefaults() Options {
@@ -113,137 +103,14 @@ func Collect(gen Generator, count int, workers int, seed uint64) []RRSet {
 	return sets
 }
 
-// genResult holds the output of one generateSets run before assembly: per-
-// position lengths, roots and widths, plus per-worker growable buffers with
-// the node (and recorded posting) data of that worker's sets in stride
-// order. Position j is the j-th requested set; scatterBufs maps positions to
-// their final arena slots.
-type genResult struct {
-	workers int
-	lens    []int32
-	roots   []int32
-	widths  []int64
-	bufs    [][]int32
-	// Recording output; nil unless requested and gen implements recordable.
-	eLens []int32
-	nLens []int32
-	ebufs [][]uint32
-	nbufs [][]int32
-}
-
-// generateSets is the strided worker pool shared by collectFlat (cold
-// builds: idxs == nil, positions ARE global set indices) and Repair (idxs
-// lists the dirty/top-up set indices to regenerate). The set at global index
-// i is always drawn from random stream i of seed by a clone of gen, so a
-// set's content depends only on (generator configuration, seed, i) — never
-// on worker count or on whether a cold build or a repair produced it, which
-// is exactly what makes repair bitwise equivalent to rebuild. Exploration
-// counters from all clones are folded into gen's.
-func generateSets(gen Generator, idxs []int, count, workers int, seed uint64, record bool) *genResult {
-	gr := &genResult{
-		workers: workers,
-		lens:    make([]int32, count),
-		roots:   make([]int32, count),
-		widths:  make([]int64, count),
-		bufs:    make([][]int32, workers),
-	}
-	if record {
-		if _, ok := gen.(recordable); ok {
-			gr.eLens = make([]int32, count)
-			gr.nLens = make([]int32, count)
-			gr.ebufs = make([][]uint32, workers)
-			gr.nbufs = make([][]int32, workers)
-		}
-	}
-	n := gen.N()
-	clones := make([]Generator, workers)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			cl := gen.Clone()
-			clones[w] = cl
-			var rec *recorder
-			if gr.eLens != nil {
-				rec = newRecorder(n)
-				cl.(recordable).setRecorder(rec)
-			}
-			var buf []int32
-			var ebuf []uint32
-			var nbuf []int32
-			var set RRSet
-			var r rng.RNG
-			for j := w; j < count; j += workers {
-				i := j
-				if idxs != nil {
-					i = idxs[j]
-				}
-				r.ReseedStream(seed, uint64(i))
-				root := int32(r.Intn(n))
-				if rec != nil {
-					rec.beginSet()
-				}
-				cl.Generate(root, &r, &set)
-				gr.lens[j] = int32(len(set.Nodes))
-				gr.roots[j] = set.Root
-				gr.widths[j] = set.Width
-				buf = append(buf, set.Nodes...)
-				if rec != nil {
-					gr.eLens[j] = int32(len(rec.edges))
-					gr.nLens[j] = int32(len(rec.nodes))
-					ebuf = append(ebuf, rec.edges...)
-					nbuf = append(nbuf, rec.nodes...)
-				}
-			}
-			gr.bufs[w] = buf
-			if gr.eLens != nil {
-				gr.ebufs[w] = ebuf
-				gr.nbufs[w] = nbuf
-			}
-		}(w)
-	}
-	wg.Wait()
-	for _, cl := range clones {
-		gen.Counters().Add(cl.Counters())
-	}
-	return gr
-}
-
-// scatterBufs copies each worker's stride-ordered buffer into the final
-// arena: position j (global set index idxs[j], or j itself when idxs is nil)
-// lands at dst[off[i]:off[i+1]]. The per-set segment lengths must match the
-// lengths recorded at generation; workers write disjoint ranges.
-func scatterBufs[T any](workers int, idxs []int, count int, bufs [][]T, dst []T, off []int64) {
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			buf := bufs[w]
-			pos := 0
-			for j := w; j < count; j += workers {
-				i := j
-				if idxs != nil {
-					i = idxs[j]
-				}
-				pos += copy(dst[off[i]:off[i+1]], buf[pos:])
-			}
-		}(w)
-	}
-	wg.Wait()
-}
-
 // collectFlat generates count RR sets directly into flat arena form: one
 // shared node buffer plus per-set offsets, roots and widths. Set i is
 // produced from random stream i of seed, exactly as Collect, so the packed
 // sets are node-for-node identical to Collect's — only the memory layout
 // differs. Generation allocates O(workers) growable buffers instead of one
 // Nodes slice per set, and the final arena is sized exactly (len == cap),
-// which is what lets Collection.Bytes account cache memory exactly. With
-// record set (and a recordable generator), the examination trace of every
-// set is packed the same way into a Postings index.
-func collectFlat(gen Generator, count, workers int, seed uint64, record bool) (offsets []int64, nodes, roots []int32, widths []int64, post *Postings) {
+// which is what lets Collection.Bytes account cache memory exactly.
+func collectFlat(gen Generator, count, workers int, seed uint64) (offsets []int64, nodes, roots []int32, widths []int64) {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
@@ -254,30 +121,57 @@ func collectFlat(gen Generator, count, workers int, seed uint64, record bool) (o
 	roots = make([]int32, count)
 	widths = make([]int64, count)
 	if count == 0 {
-		return offsets, nil, roots, widths, nil
+		return offsets, nil, roots, widths
 	}
-	gr := generateSets(gen, nil, count, workers, seed, record)
-	roots, widths = gr.roots, gr.widths
-	for j := 0; j < count; j++ {
-		offsets[j+1] = offsets[j] + int64(gr.lens[j])
+	n := gen.N()
+	clones := make([]Generator, workers)
+	bufs := make([][]int32, workers)
+	lens := make([]int32, count) // disjoint strided writes, no races
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			cl := gen.Clone()
+			clones[w] = cl
+			var buf []int32
+			var set RRSet
+			var r rng.RNG
+			for i := w; i < count; i += workers {
+				r.ReseedStream(seed, uint64(i))
+				root := int32(r.Intn(n))
+				cl.Generate(root, &r, &set)
+				lens[i] = int32(len(set.Nodes))
+				roots[i] = set.Root
+				widths[i] = set.Width
+				buf = append(buf, set.Nodes...)
+			}
+			bufs[w] = buf
+		}(w)
+	}
+	wg.Wait()
+	for _, cl := range clones {
+		gen.Counters().Add(cl.Counters())
+	}
+	for i := 0; i < count; i++ {
+		offsets[i+1] = offsets[i] + int64(lens[i])
 	}
 	nodes = make([]int32, offsets[count])
-	scatterBufs(gr.workers, nil, count, gr.bufs, nodes, offsets)
-	if gr.eLens != nil {
-		post = &Postings{
-			EdgeOff: make([]int64, count+1),
-			NodeOff: make([]int64, count+1),
-		}
-		for j := 0; j < count; j++ {
-			post.EdgeOff[j+1] = post.EdgeOff[j] + int64(gr.eLens[j])
-			post.NodeOff[j+1] = post.NodeOff[j] + int64(gr.nLens[j])
-		}
-		post.Edges = make([]uint32, post.EdgeOff[count])
-		post.Nodes = make([]int32, post.NodeOff[count])
-		scatterBufs(gr.workers, nil, count, gr.ebufs, post.Edges, post.EdgeOff)
-		scatterBufs(gr.workers, nil, count, gr.nbufs, post.Nodes, post.NodeOff)
+	// Scatter each worker's buffer to the arena; worker w's buffer holds
+	// sets w, w+workers, ... contiguously in generation order.
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			buf := bufs[w]
+			pos := 0
+			for i := w; i < count; i += workers {
+				pos += copy(nodes[offsets[i]:offsets[i+1]], buf[pos:])
+			}
+		}(w)
 	}
-	return offsets, nodes, roots, widths, post
+	wg.Wait()
+	return offsets, nodes, roots, widths
 }
 
 // SelectMaxCoverage greedily picks k distinct nodes covering the maximum

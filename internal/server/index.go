@@ -4,7 +4,6 @@ import (
 	"container/list"
 	"errors"
 	"fmt"
-	"sort"
 	"sync"
 	"time"
 
@@ -46,10 +45,10 @@ type Index struct {
 	sem       chan struct{} // non-nil: bounds concurrent builds (SetBuildLimit)
 
 	// snapMu serializes snapshot I/O (SaveSnapshot, LoadSnapshot,
-	// PublishGraph, AdoptGraph, and the object deletions of DropGraph and
-	// RepairGraph). It is never held while acquiring mu's critical
-	// sections' callees, and mu is never held while acquiring snapMu —
-	// lock order is snapMu before mu.
+	// PublishGraph, AdoptGraph, and the object deletions of DropGraph). It
+	// is never held while acquiring mu's critical sections' callees, and
+	// mu is never held while acquiring snapMu — lock order is snapMu
+	// before mu.
 	snapMu sync.Mutex
 
 	mu          sync.Mutex
@@ -78,12 +77,6 @@ type indexEntry struct {
 	// exact footprint, included in Index.bytes while attached.
 	order      *rrset.SeedOrder
 	orderBytes int64
-	// req is the request that built (or restored, via the snapshot
-	// manifest's request record) the collection, with Graph/GraphID still
-	// pointing at the generation it was drawn on. RepairGraph re-issues it
-	// against the patched graph; nil means the entry cannot be repaired
-	// (pre-upgrade snapshot) and is dropped on PATCH instead.
-	req *rrset.CollectionRequest
 }
 
 // flight is one in-progress build that concurrent identical requests wait
@@ -116,7 +109,8 @@ type IndexStats struct {
 	// Evictions counts collections dropped to stay under the byte budget.
 	Evictions int64 `json:"evictions"`
 	// Drops counts collections removed because their graph was deleted
-	// from the registry (DropGraph), as opposed to budget evictions.
+	// from the registry or superseded by a PATCH (DropGraph), as opposed
+	// to budget evictions.
 	Drops int64 `json:"drops"`
 	// Snapshots counts successful SaveSnapshot runs; SnapshotErrors counts
 	// failed ones (the periodic snapshot loop surfaces failures here).
@@ -139,27 +133,6 @@ type IndexStats struct {
 	// OrderBytes is the resident memory of memoized seed orderings, a
 	// subset of ResidentBytes.
 	OrderBytes int64 `json:"orderBytes"`
-	// PostingsBytes is the resident memory of the postings (the per-set
-	// examination index repair reads), a subset of ResidentBytes. Builds
-	// record none: only collections a PATCH repaired, or restored with a
-	// postings section, hold them.
-	PostingsBytes int64 `json:"postingsBytes"`
-	// Repairs counts collections migrated in place by RepairGraph after a
-	// graph PATCH; RepairedSets counts the RR sets those repairs actually
-	// regenerated (dirty + top-up — the work a full rebuild would have
-	// multiplied by θ/regenerated). RepairFallbacks counts collections a
-	// PATCH dropped instead — no retained request, a failed postings
-	// derivation, dirtiness above the threshold, or a failed repair —
-	// leaving the next query to rebuild.
-	Repairs         int64 `json:"repairs"`
-	RepairedSets    int64 `json:"repairedSets"`
-	RepairFallbacks int64 `json:"repairFallbacks"`
-	// PostingsDerived counts collections whose postings a PATCH derived
-	// before repairing them: a collection without postings is rebuilt on
-	// its old generation with recording on.
-	PostingsDerived int64 `json:"postingsDerived"`
-	// RepairTime is the cumulative wall time RepairGraph spent repairing.
-	RepairTime time.Duration `json:"repairTimeNs"`
 	// ResidentCollections and ResidentBytes describe current occupancy.
 	ResidentCollections int   `json:"residentCollections"`
 	ResidentBytes       int64 `json:"residentBytes"`
@@ -202,10 +175,6 @@ func (x *Index) SetMaxOrderK(k int) {
 // Collection returns the collection for req, building it at most once per
 // distinct key no matter how many goroutines ask concurrently. Errors are
 // not cached; a later identical request retries the build.
-//
-// A build records postings only if req asks for them. The index never
-// forces them: a graph that is never patched never pays for them, and
-// RepairGraph derives them at a collection's first PATCH.
 func (x *Index) Collection(req rrset.CollectionRequest) (*rrset.Collection, error) {
 	key := req.Key()
 
@@ -253,7 +222,7 @@ func (x *Index) Collection(req rrset.CollectionRequest) (*rrset.Collection, erro
 	delete(x.inflight, key)
 	x.stats.BuildTime += time.Since(t0)
 	if err == nil {
-		x.insertLocked(key, col, &req)
+		x.insertLocked(key, col, req.Graph, req.GraphID)
 	}
 	x.mu.Unlock()
 	return col, err
@@ -416,13 +385,12 @@ func buildSafely(req rrset.CollectionRequest) (col *rrset.Collection, err error)
 // insertLocked adds a built collection and evicts from the cold end until
 // the budget holds again. The newest collection is never evicted, so a
 // single collection larger than the whole budget still serves its own
-// request (and becomes the next eviction victim). The request is retained
-// on the entry so RepairGraph can re-issue it after a graph PATCH.
-func (x *Index) insertLocked(key string, col *rrset.Collection, req *rrset.CollectionRequest) {
+// request (and becomes the next eviction victim).
+func (x *Index) insertLocked(key string, col *rrset.Collection, g *graph.Graph, graphID string) {
 	if _, ok := x.entries[key]; ok {
 		return // a racing build of the same key already landed
 	}
-	e := &indexEntry{key: key, graphID: req.GraphID, col: col, graph: req.Graph, bytes: col.Bytes(), req: req}
+	e := &indexEntry{key: key, graphID: graphID, col: col, graph: g, bytes: col.Bytes()}
 	x.entries[key] = x.lru.PushFront(e)
 	x.bytes += e.bytes
 	x.evictOverBudgetLocked()
@@ -501,158 +469,33 @@ func (x *Index) deleteSnapshotObjects(store SnapshotStore, keys []string) {
 	}
 }
 
-// RepairSummary reports what one RepairGraph migration did, surfaced in
-// the PATCH /v1/graphs/{name}/edges response.
+// RepairSummary reports what a PATCH did to the cached collections of the
+// graph's previous generation, surfaced in the PATCH
+// /v1/graphs/{name}/edges response.
 type RepairSummary struct {
-	// Collections counts the resident collections drawn on the patched
-	// graph's previous generation; Repaired of them were migrated in
-	// place, Fallbacks were dropped (the next query rebuilds cold).
+	// Collections counts the resident collections drawn on the previous
+	// generation. A PATCH drops them all, so Fallbacks equals Collections;
+	// the next query on the new generation rebuilds what it needs.
 	Collections int `json:"collections"`
-	Repaired    int `json:"repaired"`
-	Fallbacks   int `json:"fallbacks"`
-	// ReusedSets counts RR sets carried over verbatim across all repairs;
-	// RepairedSets counts the ones regenerated (dirty + top-up).
+	// Repaired, ReusedSets and RepairedSets are always 0. They stay in
+	// the response so its shape does not change.
+	Repaired     int `json:"repaired"`
+	Fallbacks    int `json:"fallbacks"`
 	ReusedSets   int `json:"reusedSets"`
 	RepairedSets int `json:"repairedSets"`
 }
 
-// RepairGraph migrates every resident collection drawn on old onto the
-// patched graph: each is repaired incrementally (rrset.Repair) — bitwise
-// identical to a cold rebuild on the patched graph, but regenerating only
-// the RR sets the update batch dirtied — and re-keyed under newID, the
-// patched generation's GraphID. Repaired collections record postings, so
-// later patches repair them directly.
+// RepairGraph drops every resident collection drawn on old, the graph a
+// PATCH superseded, and reports how many it dropped: DropGraph with the
+// PATCH response's summary. The next query on the patched graph rebuilds
+// what it needs.
 //
-// Builds record no postings (see Collection), so a collection's first
-// PATCH derives them: it rebuilds the retained request on old with
-// RecordPostings on. That rebuild draws from the same per-set streams, so
-// it holds the same sets, and repair proceeds from it. Collections that
-// cannot be repaired (no retained request, a failed derivation,
-// dirtiness above maxDirtyFrac, or a failed repair) are dropped; the next
-// query rebuilds them cold.
-//
-// The caller (the PATCH path) must keep the old generation referenced in
-// the registry while this runs, so a concurrent delete cannot drop
-// entries out from under the repair loop. Old-generation entries inserted
-// concurrently by in-flight solves are not migrated; they drain when the
-// old version's last reference is released.
+// Every parameter but old is unused. They fed incremental repair, which
+// this drop replaced; the signature stays so existing callers, such as the
+// load benchmark's in-process replay, build unchanged.
 func (x *Index) RepairGraph(old, patched *graph.Graph, newID string, delta *graph.Delta, maxDirtyFrac float64) RepairSummary {
-	x.mu.Lock()
-	type cand struct {
-		key string
-		e   *indexEntry
-	}
-	var cands []cand
-	//comic:unordered candidates are sorted by key right below
-	for key, el := range x.entries {
-		e := el.Value.(*indexEntry)
-		if e.graph == old {
-			cands = append(cands, cand{key, e})
-		}
-	}
-	x.mu.Unlock()
-	sort.Slice(cands, func(i, j int) bool { return cands[i].key < cands[j].key })
-
-	// Repair outside the lock — this is θ-scaled work. Collections are
-	// immutable, so concurrent hits on the old entries are safe.
-	type migration struct {
-		oldKey string
-		oldE   *indexEntry
-		req    *rrset.CollectionRequest
-		col    *rrset.Collection
-	}
-	var sum RepairSummary
-	sum.Collections = len(cands)
-	var migs []migration
-	var drops []cand
-	var derived int64
-	t0 := time.Now()
-	for _, c := range cands {
-		if c.e.req == nil {
-			drops = append(drops, c)
-			sum.Fallbacks++
-			continue
-		}
-		req := *c.e.req
-		req.Opts.RecordPostings = true
-		from := c.e.col
-		if !from.HasPostings() {
-			var err error
-			if from, err = buildSafely(req); err != nil {
-				drops = append(drops, c)
-				sum.Fallbacks++
-				continue
-			}
-			derived++
-		}
-		req.Graph = patched
-		req.GraphID = newID
-		col, rst, err := repairSafely(from, req, delta, maxDirtyFrac)
-		if err != nil || col == nil {
-			drops = append(drops, c)
-			sum.Fallbacks++
-			continue
-		}
-		sum.Repaired++
-		sum.ReusedSets += rst.Reused
-		sum.RepairedSets += rst.Regenerated + rst.TopUp
-		migs = append(migs, migration{oldKey: c.key, oldE: c.e, req: &req, col: col})
-	}
-	repairTime := time.Since(t0)
-
-	x.mu.Lock()
-	// removeIfCurrent unlinks the entry under key provided it is still the
-	// exact entry the repair loop saw — it may have been evicted (gone) or
-	// evicted-and-rebuilt (a different entry) meanwhile.
-	store := x.snapStore
-	var dead []string
-	removeIfCurrent := func(key string, e *indexEntry) {
-		el, ok := x.entries[key]
-		if !ok || el.Value.(*indexEntry) != e {
-			return
-		}
-		x.lru.Remove(el)
-		delete(x.entries, key)
-		x.bytes -= e.bytes + e.orderBytes
-		x.orderBytes -= e.orderBytes
-		if store != nil && e.graphID != "" {
-			dead = append(dead, key)
-		}
-	}
-	for _, d := range drops {
-		removeIfCurrent(d.key, d.e)
-	}
-	for _, m := range migs {
-		removeIfCurrent(m.oldKey, m.oldE)
-		// The memoized seed ordering belonged to the old collection; the
-		// repaired one starts without and rebuilds it on first selection.
-		x.insertLocked(m.req.Key(), m.col, m.req)
-	}
-	x.stats.Repairs += int64(sum.Repaired)
-	x.stats.RepairedSets += int64(sum.RepairedSets)
-	x.stats.RepairFallbacks += int64(sum.Fallbacks)
-	x.stats.PostingsDerived += derived
-	x.stats.RepairTime += repairTime
-	x.mu.Unlock()
-
-	// The dead generation's snapshot entry files must not linger: a
-	// restart cannot restore them (their GraphID is gone), but pruning now
-	// keeps the state directory from accumulating one stale file per
-	// patched collection until the next SaveSnapshot.
-	x.deleteSnapshotObjects(store, dead)
-	return sum
-}
-
-// repairSafely converts a panicking repair into an error so a defective
-// collection falls back to a drop-and-rebuild instead of killing the
-// PATCH request.
-func repairSafely(old *rrset.Collection, req rrset.CollectionRequest, delta *graph.Delta, maxDirtyFrac float64) (col *rrset.Collection, rst *rrset.RepairStats, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			col, rst, err = nil, nil, fmt.Errorf("%w: %v", ErrBuildPanic, r)
-		}
-	}()
-	return rrset.Repair(old, req, delta, maxDirtyFrac)
+	n := x.DropGraph(old)
+	return RepairSummary{Collections: n, Fallbacks: n}
 }
 
 // SetBuildLimit bounds the number of collection builds that may run
@@ -678,11 +521,6 @@ func (x *Index) Stats() IndexStats {
 	st.ResidentCollections = x.lru.Len()
 	st.ResidentBytes = x.bytes
 	st.OrderBytes = x.orderBytes
-	for el := x.lru.Front(); el != nil; el = el.Next() {
-		if p := el.Value.(*indexEntry).col.PostingsIndex(); p != nil {
-			st.PostingsBytes += p.Bytes()
-		}
-	}
 	st.MaxBytes = x.maxBytes
 	return st
 }

@@ -1,7 +1,6 @@
 package server
 
 import (
-	"fmt"
 	"reflect"
 	"sync"
 	"testing"
@@ -424,92 +423,5 @@ func TestIndexSingleflight(t *testing.T) {
 		if cols[i] != cols[0] {
 			t.Fatal("concurrent requests returned different collection instances")
 		}
-	}
-}
-
-// sameCollection reports whether two collections agree field for field,
-// postings included. Only the exploration counters and phase durations
-// may differ: they record how much work produced the sets.
-func sameCollection(a, b *rrset.Collection) bool {
-	x, y := *a, *b
-	for _, c := range []*rrset.Collection{&x, &y} {
-		c.Explored, c.ExploredKPT = rrset.Counters{}, rrset.Counters{}
-		c.KPTDuration, c.GenDuration = 0, 0
-	}
-	return reflect.DeepEqual(x, y)
-}
-
-// TestRepairGraphDerivesPostings pins when postings exist. Builds record
-// none, so a never-patched graph holds none. A collection's first PATCH
-// derives them and repairs it in place, to exactly what a cold recording
-// build on the patched graph holds. Later PATCHes repair directly.
-func TestRepairGraphDerivesPostings(t *testing.T) {
-	g := testGraph(t)
-	kpt := testRequest(g, 8, 0)
-	kpt.Opts.Epsilon, kpt.Opts.MaxTheta = 1, 3000
-	cim := testRequest(g, 9, 300)
-	cim.Kind = rrset.KindCIM
-	cim.GAP = core.GAP{QA0: 0.3, QAB: 0.8, QB0: 0.4, QBA: 1}
-	reqs := []rrset.CollectionRequest{testRequest(g, 7, 300), kpt, cim}
-
-	idx := NewIndex(0)
-	for _, req := range reqs {
-		col, err := idx.Collection(req)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if col.HasPostings() {
-			t.Fatalf("%s build recorded postings on a never-patched graph", req.Kind)
-		}
-	}
-	if st := idx.Stats(); st.PostingsBytes != 0 {
-		t.Fatalf("postingsBytes = %d on a never-patched graph, want 0", st.PostingsBytes)
-	}
-
-	cur := g
-	for gen := 1; gen <= 2; gen++ {
-		var ups []graph.EdgeUpdate
-		for eid := int32(gen); eid < int32(cur.M()) && len(ups) < 4; eid += 7 {
-			u, v := cur.EdgeEndpoints(eid)
-			ups = append(ups, graph.EdgeUpdate{Op: graph.OpReweight, U: u, V: v, P: cur.Prob(eid) / 2})
-		}
-		next, delta, err := cur.ApplyUpdates(ups)
-		if err != nil {
-			t.Fatal(err)
-		}
-		id := fmt.Sprintf("test@%d", gen)
-		sum := idx.RepairGraph(cur, next, id, delta, 0)
-		if sum.Collections != len(reqs) || sum.Repaired != len(reqs) {
-			t.Fatalf("patch %d: summary %+v, want all %d collections repaired", gen, sum, len(reqs))
-		}
-		// Only the first PATCH derives; a repaired collection keeps its
-		// postings.
-		st := idx.Stats()
-		if st.PostingsDerived != int64(len(reqs)) || st.RepairFallbacks != 0 {
-			t.Fatalf("patch %d: postingsDerived %d, fallbacks %d; want %d, 0",
-				gen, st.PostingsDerived, st.RepairFallbacks, len(reqs))
-		}
-		var postings int64
-		for _, req := range reqs {
-			req.Graph, req.GraphID = next, id
-			req.Opts.RecordPostings = true
-			el, ok := idx.entries[req.Key()]
-			if !ok {
-				t.Fatalf("patch %d: %s collection not re-keyed to %s", gen, req.Kind, id)
-			}
-			got := el.Value.(*indexEntry).col
-			want, err := req.Build()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !sameCollection(got, want) {
-				t.Fatalf("patch %d: repaired %s collection differs from a cold recording build", gen, req.Kind)
-			}
-			postings += got.PostingsIndex().Bytes()
-		}
-		if st.PostingsBytes != postings {
-			t.Fatalf("patch %d: postingsBytes = %d, want %d", gen, st.PostingsBytes, postings)
-		}
-		cur = next
 	}
 }

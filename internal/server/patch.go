@@ -10,30 +10,16 @@ import (
 // PATCH /v1/graphs/{name}/edges — streaming graph updates.
 //
 // A patch applies one atomic batch of edge updates (add, remove,
-// reweight) to a registered graph and advances its edit generation. The
-// expensive part is not the CSR rebuild but the invalidated RR-set state:
-// instead of discarding every cached collection on the graph, the server
-// repairs them incrementally (rrset.Repair) — only the RR sets whose
-// recorded edge examinations the batch actually touched are regenerated,
-// from the same pinned RNG streams a cold rebuild would use, so the
-// repaired collections are bitwise identical to a from-scratch build on
-// the patched graph. A collection's first patch derives the postings
-// repair reads (see Index.RepairGraph). Collections that cannot be
-// repaired (no retained request, dirtiness above the threshold, foreign
-// generator) are dropped and rebuild lazily on the next query.
+// reweight) to a registered graph and advances its edit generation. Once
+// the new generation is published, the cached RR-set collections drawn on
+// the old one are dropped; the next query on the patched graph rebuilds
+// the ones it needs.
 //
 // Consistency: in-flight solves pinned the previous generation and finish
 // on it; new requests resolve the patched generation. The optional
 // ifGeneration precondition makes read-modify-write loops safe: a client
 // that solved on generation g can demand its patch apply to g and get a
 // 409 graph_generation_conflict if another writer got there first.
-
-// repairMaxDirtyFrac is the dirtiness threshold above which incremental
-// repair of a cached collection falls back to dropping it: regenerating
-// more than half the sets approaches the cost of the cold rebuild the
-// next query would pay anyway, without the benefit of skipping the
-// (cheap, but not free) repair bookkeeping.
-const repairMaxDirtyFrac = 0.5
 
 // edgeUpdatePayload is one operation in a PATCH /v1/graphs/{name}/edges
 // batch. "p" is required for add and reweight, and must be absent for
@@ -114,7 +100,7 @@ func (s *Server) patchGraph(name string, req *graphPatchRequest) (*graphPatchRes
 		return nil, aerr
 	}
 
-	// One patch at a time: repair-and-swap must see a stable current
+	// One patch at a time: apply-and-swap must see a stable current
 	// version. Queries are unaffected — they pin whatever version is
 	// current when they resolve the name.
 	s.reg.patchMu.Lock()
@@ -144,12 +130,6 @@ func (s *Server) patchGraph(name string, req *graphPatchRequest) (*graphPatchRes
 		fingerprint: graphFingerprint(newG),
 	}
 
-	// Migrate the old generation's resident collections onto the patched
-	// graph by incremental repair, re-keyed under the new versioned
-	// GraphID. Unrepairable ones are dropped (lazy rebuild).
-	//comic:allow lockorder patchMu exists to serialize the whole patch pipeline, I/O included; queries never take it
-	rep := s.index.RepairGraph(ref.graph(), newG, next.id, delta, repairMaxDirtyFrac)
-
 	// Persist the patched generation before publishing it: a patch that
 	// would silently revert on restart is refused, exactly like an
 	// unpersistable registration.
@@ -158,8 +138,6 @@ func (s *Server) patchGraph(name string, req *graphPatchRequest) (*graphPatchRes
 	perr := s.reg.persistGraph(e, next)
 	s.reg.persistMu.Unlock()
 	if perr != nil {
-		//comic:allow lockorder patchMu exists to serialize the whole patch pipeline, I/O included; queries never take it
-		s.index.DropGraph(newG) // discard the migrated collections; nothing was published
 		return nil, s.fail(http.StatusInternalServerError, codeInternal,
 			"persisting patched graph %q: %v", name, perr)
 	}
@@ -170,10 +148,13 @@ func (s *Server) patchGraph(name string, req *graphPatchRequest) (*graphPatchRes
 		//comic:allow lockorder persistMu's only job is to serialize graph persistence I/O
 		s.reg.unpersistGraphOwned(e)
 		s.reg.persistMu.Unlock()
-		//comic:allow lockorder patchMu exists to serialize the whole patch pipeline, I/O included; queries never take it
-		s.index.DropGraph(newG)
 		return nil, s.fail(http.StatusConflict, codeGraphConflict, "%s", err.Error())
 	}
+	// Only now is the old generation superseded: a refused patch leaves
+	// its collections warm. Solves still pinned to it may insert more
+	// entries; those drain when its last reference is released.
+	//comic:allow lockorder patchMu exists to serialize the whole patch pipeline, I/O included; queries never take it
+	rep := s.index.RepairGraph(ref.graph(), newG, next.id, delta, 0)
 	s.nGraphs.Add(1)
 	return &graphPatchResponse{graphInfo: graphInfoOf(e, next), Repair: rep}, nil
 }

@@ -1,9 +1,13 @@
 package server_test
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"os"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"sync"
@@ -68,11 +72,11 @@ func reweightBatch(tb testing.TB, g *graph.Graph, count int, factor float64) (st
 	return fmt.Sprintf(`{"updates":[%s]}`, strings.Join(parts, ",")), ups
 }
 
-// TestPatchAdvancesGenerationAndRepairs is the tentpole happy path: a
-// PATCH advances the generation, changes the fingerprint, repairs the
-// warm collections in place, and the next identical solve is (a) still
-// warm and (b) byte-identical to a cold solve on the patched topology.
-func TestPatchAdvancesGenerationAndRepairs(t *testing.T) {
+// TestPatchAdvancesGenerationAndDrops is the happy path: a PATCH advances
+// the generation, changes the fingerprint and drops the old generation's
+// warm collections, and the next identical solve rebuilds them on the
+// patched topology, byte-identical to a cold solve there.
+func TestPatchAdvancesGenerationAndDrops(t *testing.T) {
 	d := testDataset(t)
 	s := newTestServer(t, d)
 	t.Cleanup(s.Close)
@@ -90,13 +94,9 @@ func TestPatchAdvancesGenerationAndRepairs(t *testing.T) {
 	if rec := do(t, s, http.MethodPost, "/v1/selfinfmax", solveBody, &warm); rec.Code != http.StatusOK {
 		t.Fatalf("warm solve = %d %q", rec.Code, rec.Body.String())
 	}
-	st := s.Index().Stats()
-	builds := st.Misses
+	builds := s.Index().Stats().Misses
 	if builds == 0 {
 		t.Fatal("warm solve built no collections")
-	}
-	if st.PostingsBytes != 0 {
-		t.Fatalf("never-patched graph holds %d postings bytes, want 0", st.PostingsBytes)
 	}
 
 	patchBody, ups := reweightBatch(t, d.Graph, 5, 0.5)
@@ -113,24 +113,24 @@ func TestPatchAdvancesGenerationAndRepairs(t *testing.T) {
 	if pr.Edges != before.Edges || pr.Nodes != before.Nodes {
 		t.Fatalf("reweight-only patch changed shape: %+v vs %+v", pr.graphInfoResp, before)
 	}
-	if pr.Repair.Collections == 0 || pr.Repair.Repaired != pr.Repair.Collections || pr.Repair.Fallbacks != 0 {
-		t.Fatalf("repair summary %+v, want every collection repaired", pr.Repair)
+	if pr.Repair.Collections != int(builds) || pr.Repair.Fallbacks != pr.Repair.Collections ||
+		pr.Repair.Repaired != 0 || pr.Repair.ReusedSets != 0 || pr.Repair.RepairedSets != 0 {
+		t.Fatalf("repair summary %+v, want all %d collections dropped", pr.Repair, builds)
 	}
-	if st := s.Index().Stats(); st.Repairs != int64(pr.Repair.Repaired) || st.RepairFallbacks != 0 ||
-		st.PostingsDerived != int64(pr.Repair.Collections) || st.PostingsBytes == 0 {
-		t.Fatalf("index stats %+v disagree with repair summary %+v", st, pr.Repair)
+	if st := s.Index().Stats(); st.Drops != builds || st.ResidentCollections != 0 {
+		t.Fatalf("index stats %+v, want %d drops and nothing resident", st, builds)
 	}
 
-	// The repaired collections answer the same solve warm...
+	// The next solve rebuilds the collections on the patched graph...
 	var after solveResp
 	if rec := do(t, s, http.MethodPost, "/v1/selfinfmax", solveBody, &after); rec.Code != http.StatusOK {
 		t.Fatalf("post-patch solve = %d %q", rec.Code, rec.Body.String())
 	}
-	if st := s.Index().Stats(); st.Misses != builds {
-		t.Fatalf("post-patch solve rebuilt collections: %d builds, want %d", st.Misses, builds)
+	if st := s.Index().Stats(); st.Misses != 2*builds {
+		t.Fatalf("post-patch solve: %d builds in total, want %d", st.Misses, 2*builds)
 	}
 
-	// ...and byte-identically to a cold solve on the patched topology.
+	// ...byte-identically to a cold solve on the patched topology.
 	patched, _, err := d.Graph.ApplyUpdates(ups)
 	if err != nil {
 		t.Fatal(err)
@@ -142,7 +142,7 @@ func TestPatchAdvancesGenerationAndRepairs(t *testing.T) {
 		t.Fatalf("cold solve = %d %q", rec.Code, rec.Body.String())
 	}
 	if !reflect.DeepEqual(after.Seeds, want.Seeds) || after.Objective != want.Objective {
-		t.Fatalf("repaired solve (%v, %v) != cold solve on patched graph (%v, %v)",
+		t.Fatalf("post-patch solve (%v, %v) != cold solve on patched graph (%v, %v)",
 			after.Seeds, after.Objective, want.Seeds, want.Objective)
 	}
 
@@ -250,7 +250,9 @@ func TestGraphInfoUnified(t *testing.T) {
 // TestPatchGenerationPinningRace drives concurrent solves against a
 // stream of PATCH batches (run under -race in CI): every solve must
 // complete against the exact generation it resolved — no torn graphs, no
-// failed queries — while the generation advances underneath.
+// failed queries — while the generation advances underneath. Afterwards
+// every superseded generation has drained from the index, including
+// entries that in-flight solves inserted after their patch.
 func TestPatchGenerationPinningRace(t *testing.T) {
 	d := testDataset(t)
 	s := newTestServer(t, d)
@@ -294,11 +296,24 @@ func TestPatchGenerationPinningRace(t *testing.T) {
 	if final.Graph.Generation != patches {
 		t.Fatalf("final solve ran on generation %d, want %d", final.Graph.Generation, patches)
 	}
+	// Exactly the final generation's lower- and upper-bound collections
+	// remain: a repeat of the final solve hits both, and nothing else is
+	// resident.
+	before := s.Index().Stats()
+	if rec := do(t, s, http.MethodPost, "/v1/selfinfmax", solveBody, nil); rec.Code != http.StatusOK {
+		t.Fatalf("repeat solve = %d %q", rec.Code, rec.Body.String())
+	}
+	st := s.Index().Stats()
+	if st.ResidentCollections != 2 || st.Hits != before.Hits+2 || st.Misses != before.Misses {
+		t.Fatalf("after the storm: %d resident, %d hits, %d misses; want 2 resident and a 2-hit repeat (before: %d hits, %d misses)",
+			st.ResidentCollections, st.Hits, st.Misses, before.Hits, before.Misses)
+	}
 }
 
 // TestPatchSnapshotRoundTrip pins persistence end to end: a restarted
-// server restores its collections with their request metadata, so a PATCH
-// after the restart still repairs them in place instead of dropping them.
+// server restores its collections, a PATCH after the restart drops them,
+// the next solve matches a cold solve on the patched topology, and the
+// patched generation survives another restart.
 func TestPatchSnapshotRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	d := testDataset(t)
@@ -328,8 +343,9 @@ func TestPatchSnapshotRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(s2.Close)
-	if st := s2.Index().Stats(); st.Restores == 0 {
-		t.Fatalf("restart restored nothing: %+v", st)
+	restored := s2.Index().Stats().Restores
+	if restored == 0 {
+		t.Fatalf("restart restored nothing: %+v", s2.Index().Stats())
 	}
 
 	patchBody, ups := reweightBatch(t, d.Graph, 5, 0.5)
@@ -337,18 +353,18 @@ func TestPatchSnapshotRoundTrip(t *testing.T) {
 	if rec := do(t, s2, http.MethodPatch, "/v1/graphs/Flixster/edges", patchBody, &pr); rec.Code != http.StatusOK {
 		t.Fatalf("patch = %d %q", rec.Code, rec.Body.String())
 	}
-	if pr.Repair.Collections == 0 || pr.Repair.Repaired != pr.Repair.Collections {
-		t.Fatalf("restored collections not repaired: %+v", pr.Repair)
+	if pr.Repair.Collections != int(restored) || pr.Repair.Fallbacks != pr.Repair.Collections {
+		t.Fatalf("restored collections not dropped: %+v, want all %d", pr.Repair, restored)
 	}
 
-	// The repaired restore answers warm and matches a cold solve on the
-	// patched topology.
+	// The post-patch solve rebuilds on the patched topology and matches a
+	// cold solve there.
 	var after solveResp
 	if rec := do(t, s2, http.MethodPost, "/v1/selfinfmax", solveBody, &after); rec.Code != http.StatusOK {
 		t.Fatalf("post-patch solve = %d %q", rec.Code, rec.Body.String())
 	}
-	if st := s2.Index().Stats(); st.Misses != 0 {
-		t.Fatalf("post-restart post-patch solve went cold: %+v", st)
+	if st := s2.Index().Stats(); st.Misses != restored {
+		t.Fatalf("post-patch solve built %d collections, want %d", st.Misses, restored)
 	}
 	patched, _, err := d.Graph.ApplyUpdates(ups)
 	if err != nil {
@@ -361,7 +377,7 @@ func TestPatchSnapshotRoundTrip(t *testing.T) {
 		t.Fatalf("cold solve = %d %q", rec.Code, rec.Body.String())
 	}
 	if !reflect.DeepEqual(after.Seeds, want.Seeds) || after.Objective != want.Objective {
-		t.Fatalf("restored+repaired solve (%v, %v) != cold solve (%v, %v)",
+		t.Fatalf("post-restart post-patch solve (%v, %v) != cold solve (%v, %v)",
 			after.Seeds, after.Objective, want.Seeds, want.Objective)
 	}
 
@@ -391,10 +407,10 @@ func TestPatchSnapshotRoundTrip(t *testing.T) {
 	}
 }
 
-// TestPatchSeedQualityMatchesExact cross-checks post-repair seed quality
+// TestPatchSeedQualityMatchesExact cross-checks post-patch seed quality
 // against the internal/exact enumeration oracle on a ≤12-node graph: the
-// seed the repaired path selects must score exactly as well as the true
-// single-seed argmax on the patched topology.
+// seed a solve selects after the patch must score exactly as well as the
+// true single-seed argmax on the patched topology.
 func TestPatchSeedQualityMatchesExact(t *testing.T) {
 	// Deterministic p=1 edges and GAP boundaries at 1 keep the post-patch
 	// class count tiny: only the two reweighted edges add edge dimensions,
@@ -424,8 +440,8 @@ func TestPatchSeedQualityMatchesExact(t *testing.T) {
 	if rec := do(t, s, http.MethodPost, "/v1/selfinfmax", solveBody, nil); rec.Code != http.StatusOK {
 		t.Fatalf("warm solve = %d %q", rec.Code, rec.Body.String())
 	}
-	// The batch mixes all three ops so the repair path covers EID remapping,
-	// not just in-place reweights.
+	// The batch mixes all three ops, so the patched graph's edge ids move,
+	// not just its weights.
 	patchBody := `{"updates":[
 		{"op":"reweight","u":0,"v":1,"p":0.6},
 		{"op":"reweight","u":2,"v":3,"p":0.5},
@@ -469,6 +485,57 @@ func TestPatchSeedQualityMatchesExact(t *testing.T) {
 		t.Fatal(err)
 	}
 	if got < best-0.2 {
-		t.Fatalf("post-repair seed %v scores %v exactly; argmax on the patched graph is %v", res.Seeds, got, best)
+		t.Fatalf("post-patch seed %v scores %v exactly; argmax on the patched graph is %v", res.Seeds, got, best)
+	}
+}
+
+// TestRefusedPatchKeepsCacheWarm pins the PATCH order: the old
+// generation's collections are dropped only after the new generation is
+// persisted and published. A patch whose edge list cannot be persisted is
+// refused with 500, the graph stays at generation 0, and the next
+// identical solve is answered from the index.
+func TestRefusedPatchKeepsCacheWarm(t *testing.T) {
+	d := testDataset(t)
+	dir := t.TempDir()
+	s, err := server.New(stateConfig(d, dir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(s.Close)
+	var warm solveResp
+	if rec := do(t, s, http.MethodPost, "/v1/selfinfmax", snapSolveBody, &warm); rec.Code != http.StatusOK {
+		t.Fatalf("warm solve = %d %q", rec.Code, rec.Body.String())
+	}
+	before := s.Index().Stats()
+
+	// A non-empty directory where the patched edge list must go: the
+	// atomic rename onto it fails.
+	sum := sha256.Sum256([]byte("Flixster"))
+	edges := filepath.Join(dir, "graphs", hex.EncodeToString(sum[:16])+".edges")
+	if err := os.MkdirAll(filepath.Join(edges, "block"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	patchBody, _ := reweightBatch(t, d.Graph, 5, 0.5)
+	if rec := do(t, s, http.MethodPatch, "/v1/graphs/Flixster/edges", patchBody, nil); rec.Code != http.StatusInternalServerError {
+		t.Fatalf("patch with unwritable edge list = %d %q, want 500", rec.Code, rec.Body.String())
+	}
+	var info graphInfoResp
+	do(t, s, http.MethodGet, "/v1/graphs/Flixster", "", &info)
+	if info.Generation != 0 {
+		t.Fatalf("refused patch advanced the generation to %d", info.Generation)
+	}
+
+	var again solveResp
+	if rec := do(t, s, http.MethodPost, "/v1/selfinfmax", snapSolveBody, &again); rec.Code != http.StatusOK {
+		t.Fatalf("solve after refused patch = %d %q", rec.Code, rec.Body.String())
+	}
+	st := s.Index().Stats()
+	if st.Misses != before.Misses || st.Hits != before.Hits+before.Misses {
+		t.Fatalf("solve after refused patch: %d misses, %d hits; want %d misses, %d hits",
+			st.Misses, st.Hits, before.Misses, before.Hits+before.Misses)
+	}
+	if !reflect.DeepEqual(again.Seeds, warm.Seeds) || again.Objective != warm.Objective {
+		t.Fatalf("solve after refused patch (%v, %v) != warm solve (%v, %v)",
+			again.Seeds, again.Objective, warm.Seeds, warm.Objective)
 	}
 }

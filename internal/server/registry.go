@@ -36,8 +36,7 @@ import (
 // derives a versioned cache ID ("<cacheID>@<gen>") used as the RR-index
 // GraphID — so re-registering a name after a delete can never alias the
 // dead graph's cache entries, and a PATCH can never serve the previous
-// topology's collections (except through explicit incremental repair,
-// which re-keys them under the new versioned ID).
+// topology's collections.
 type registry struct {
 	index *Index
 	// stateDir, when non-empty, is the directory registrations are
@@ -46,9 +45,9 @@ type registry struct {
 	stateDir string
 
 	// patchMu serializes PATCH /v1/graphs/{name}/edges operations: a patch
-	// reads the current version, repairs the RR-index against it, persists,
-	// and swaps — a second patch interleaved anywhere in that sequence
-	// would repair against a stale topology. Lock order: patchMu before
+	// reads the current version, applies its batch to it, persists, and
+	// swaps — a second patch interleaved anywhere in that sequence would
+	// apply to a stale topology. Lock order: patchMu before
 	// persistMu before nothing; patchMu before mu. The query path
 	// (acquire/release) never takes it.
 	patchMu sync.Mutex

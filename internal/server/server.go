@@ -20,8 +20,8 @@
 //	DELETE /v1/graphs/{name}    retire a graph (drops its cached RR sets)
 //	PATCH  /v1/graphs/{name}/edges  apply a batch of edge updates (add /
 //	                            remove / reweight), advancing the graph's
-//	                            edit generation and incrementally repairing
-//	                            its cached RR-set collections
+//	                            edit generation and dropping the previous
+//	                            generation's cached RR-set collections
 //	GET    /healthz         liveness probe
 //	GET    /v1/stats        cache and request counters, graph inventory
 //

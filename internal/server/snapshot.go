@@ -49,9 +49,9 @@ import (
 //	                            published manifest also records its
 //	                            versioned GraphID
 //	<prefix>/<digest(key)>.rrs  one rrset.Snapshot per resident collection,
-//	                            plus its memoized seed ordering and postings
-//	                            when present (optional, checksummed trailing
-//	                            sections; files without them still load)
+//	                            plus its memoized seed ordering when present
+//	                            (an optional, checksummed trailing section;
+//	                            files without it still load)
 //
 // One writer (saveEntries) and one reader (loadEntries) serve both scopes.
 // Every object is written atomically (SnapshotStore.Put), entry objects
@@ -170,71 +170,8 @@ type manifestEntry struct {
 	// HasOrder records whether the entry object carries the optional
 	// seed-order section. saveEntries' reuse rule consults it: an object
 	// written before the entry's ordering was memoized is rewritten once to
-	// include it, then reused again. HasPostings does the same for the
-	// examination-index section incremental repair needs.
-	HasOrder    bool `json:"hasOrder,omitempty"`
-	HasPostings bool `json:"hasPostings,omitempty"`
-	// Request is the collection's originating request parameters. A
-	// restored entry that carries them participates in incremental repair
-	// after a graph PATCH; without them it is merely servable.
-	Request *requestMeta `json:"request,omitempty"`
-}
-
-// requestMeta is the persisted form of an rrset.CollectionRequest, minus
-// the graph (resolved by GraphID at load) and the fields that do not
-// affect the generated sets (Workers, RecordPostings).
-type requestMeta struct {
-	Kind       string     `json:"kind"`
-	GAP        gapPayload `json:"gap"`
-	Opposite   []int32    `json:"opposite,omitempty"`
-	K          int        `json:"k"`
-	Epsilon    float64    `json:"epsilon,omitempty"`
-	Ell        float64    `json:"ell,omitempty"`
-	FixedTheta int        `json:"fixedTheta,omitempty"`
-	MaxTheta   int        `json:"maxTheta,omitempty"`
-	Seed       uint64     `json:"seed"`
-}
-
-func requestMetaOf(req *rrset.CollectionRequest) *requestMeta {
-	if req == nil {
-		return nil
-	}
-	return &requestMeta{
-		Kind: string(req.Kind),
-		GAP: gapPayload{
-			QA0: req.GAP.QA0, QAB: req.GAP.QAB,
-			QB0: req.GAP.QB0, QBA: req.GAP.QBA,
-		},
-		Opposite:   req.Opposite,
-		K:          req.K,
-		Epsilon:    req.Opts.Epsilon,
-		Ell:        req.Opts.Ell,
-		FixedTheta: req.Opts.FixedTheta,
-		MaxTheta:   req.Opts.MaxTheta,
-		Seed:       req.Seed,
-	}
-}
-
-// toRequest rebuilds the live request against the resolved graph. The
-// loader validates the result by recomputing Key — a reconstruction that
-// does not reproduce the entry's cache key is discarded (the entry stays
-// servable, just not repairable).
-func (rm *requestMeta) toRequest(graphID string, g *graph.Graph) *rrset.CollectionRequest {
-	return &rrset.CollectionRequest{
-		GraphID:  graphID,
-		Graph:    g,
-		Kind:     rrset.Kind(rm.Kind),
-		GAP:      rm.GAP.toGAP(),
-		Opposite: rm.Opposite,
-		K:        rm.K,
-		Opts: rrset.Options{
-			Epsilon:    rm.Epsilon,
-			Ell:        rm.Ell,
-			FixedTheta: rm.FixedTheta,
-			MaxTheta:   rm.MaxTheta,
-		},
-		Seed: rm.Seed,
-	}
+	// include it, then reused again.
+	HasOrder bool `json:"hasOrder,omitempty"`
 }
 
 // SaveSnapshot persists every resident collection whose cache key names a
@@ -279,7 +216,7 @@ func (x *Index) LoadSnapshot(dir string, graphs map[string]*graph.Graph) (int, e
 }
 
 // openSnapshotDir opens dir as the local snapshot store and remembers it,
-// so DropGraph and RepairGraph delete dead entries' objects there.
+// so DropGraph deletes dead entries' objects there.
 func (x *Index) openSnapshotDir(dir string) (*DirStore, error) {
 	store, err := NewDirStore(dir)
 	if err != nil {
@@ -352,13 +289,11 @@ func (x *Index) saveEntries(store SnapshotStore, prefix, graphID string) (int, e
 			continue // digest collision between live keys: keep the hotter entry
 		}
 		keep[obj] = true
-		me := manifestEntry{File: name, GraphID: e.graphID, Bytes: e.bytes,
-			HasOrder: e.order != nil, HasPostings: e.col.HasPostings(), Request: requestMetaOf(e.req)}
-		if p, ok := prev[name]; ok && have[obj] && (p.HasOrder || !me.HasOrder) && (p.HasPostings || !me.HasPostings) {
-			// The object may carry sections the entry has not (re)computed
-			// yet; the request meta lives in the manifest, so it is
-			// refreshed regardless.
-			me.HasOrder, me.HasPostings = p.HasOrder, p.HasPostings
+		me := manifestEntry{File: name, GraphID: e.graphID, Bytes: e.bytes, HasOrder: e.order != nil}
+		if p, ok := prev[name]; ok && have[obj] && (p.HasOrder || !me.HasOrder) {
+			// The object may carry an order the entry has not (re)computed
+			// yet.
+			me.HasOrder = p.HasOrder
 		} else {
 			snap := &rrset.Snapshot{Key: e.key, GraphID: e.graphID, GraphN: e.graph.N(), GraphM: e.graph.M(),
 				Collection: e.col, Order: e.order}
@@ -480,16 +415,6 @@ func (x *Index) loadEntries(store SnapshotStore, prefix, graphID string, graphs 
 			budgetFull = true
 			rejects++
 			continue
-		}
-		// Rebuild the repair-capable request if the manifest recorded one.
-		// The recomputed cache key must reproduce the entry's key exactly —
-		// a mismatch (hand-edited manifest, foreign key format) demotes the
-		// entry to servable-but-not-repairable rather than risking a repair
-		// under the wrong parameters.
-		if me.Request != nil {
-			if req := me.Request.toRequest(me.GraphID, g); req.Key() == snap.Key {
-				e.req = req
-			}
 		}
 		acceptedBytes += e.bytes + e.orderBytes
 		accepted = append(accepted, e)

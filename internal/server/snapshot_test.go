@@ -179,6 +179,46 @@ func TestIndexSnapshotRoundTrip(t *testing.T) {
 	if st := fresh.Stats(); st.Hits != 2 || st.Misses != 0 {
 		t.Fatalf("after restored queries: hits %d misses %d, want 2/0", st.Hits, st.Misses)
 	}
+
+	// Older writers recorded hasPostings and the originating request on
+	// every manifest entry. Such a manifest still restores every entry.
+	manPath := filepath.Join(dir, "MANIFEST.json")
+	raw, rerr := os.ReadFile(manPath)
+	if rerr != nil {
+		t.Fatal(rerr)
+	}
+	var man map[string]any
+	if uerr := json.Unmarshal(raw, &man); uerr != nil {
+		t.Fatal(uerr)
+	}
+	for _, me := range man["entries"].([]any) {
+		me := me.(map[string]any)
+		me["hasPostings"] = true
+		me["request"] = map[string]any{"kind": "ic", "gap": map[string]any{"qa0": 0, "qab": 0, "qb0": 0, "qba": 0},
+			"k": 5, "fixedTheta": 300, "seed": 42}
+	}
+	if raw, rerr = json.Marshal(man); rerr != nil {
+		t.Fatal(rerr)
+	}
+	if werr := os.WriteFile(manPath, raw, 0o644); werr != nil {
+		t.Fatal(werr)
+	}
+	legacy := server.NewIndex(0)
+	if n, lerr := legacy.LoadSnapshot(dir, map[string]*graph.Graph{"snap#1": g}); lerr != nil || n != 2 {
+		t.Fatalf("legacy manifest restored %d entries (err %v), want 2", n, lerr)
+	}
+	if st := legacy.Stats(); st.Restores != 2 || st.RestoreRejects != 0 {
+		t.Fatalf("legacy manifest restore stats %+v, want 2 restores and 0 rejects", st)
+	}
+	for i, req := range reqs {
+		col, cerr := legacy.Collection(req)
+		if cerr != nil {
+			t.Fatal(cerr)
+		}
+		if !reflect.DeepEqual(col, want[i]) {
+			t.Fatalf("collection %d restored from the legacy manifest differs from original", i)
+		}
+	}
 }
 
 func TestLoadSnapshotPreservesLRUOrderAndBudget(t *testing.T) {
