@@ -6,7 +6,6 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
-	"os"
 	"strings"
 	"time"
 
@@ -176,9 +175,7 @@ func runBatchBench(cfg experiments.Config) (*batchBenchRecord, error) {
 	return rec, nil
 }
 
-// render prints a human-readable summary and, when jsonPath is non-empty,
-// writes the record there as indented JSON.
-func (r *batchBenchRecord) render(w io.Writer, jsonPath string) error {
+func (r *batchBenchRecord) render(w io.Writer) error {
 	var werr error
 	printf(w, &werr, "batch k-sweep benchmark: %s scale %g, k=1..%d, theta %d, seed %d\n",
 		r.Dataset, r.Scale, r.SweepK, r.FixedTheta, r.Seed)
@@ -188,15 +185,5 @@ func (r *batchBenchRecord) render(w io.Writer, jsonPath string) error {
 		r.SweepK, time.Duration(r.SequentialNs), r.SequentialBuilds, r.SequentialHits)
 	printf(w, &werr, "  amortization: %.2fx\n", float64(r.SequentialNs)/float64(r.BatchNs))
 	printf(w, &werr, "  seeds(k=%d) %v\n", r.SweepK, r.Seeds)
-	if werr != nil {
-		return werr
-	}
-	if jsonPath == "" {
-		return nil
-	}
-	data, err := json.MarshalIndent(r, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(jsonPath, append(data, '\n'), 0o644)
+	return werr
 }

@@ -31,7 +31,10 @@ func TestRestoreBenchRecord(t *testing.T) {
 
 	path := filepath.Join(t.TempDir(), "BENCH_restore.json")
 	var buf bytes.Buffer
-	if rerr := rec.render(&buf, path); rerr != nil {
+	if rerr := rec.render(&buf); rerr != nil {
+		t.Fatal(rerr)
+	}
+	if rerr := writeRecord(path, rec); rerr != nil {
 		t.Fatal(rerr)
 	}
 	data, err := os.ReadFile(path)

@@ -704,9 +704,7 @@ func putMembership(baseURL string, members []cluster.Member, phase string) (clus
 	return wrapper.Rebalance, nil
 }
 
-// render prints a human-readable summary and, when jsonPath is non-empty,
-// writes the record there as indented JSON.
-func (r *clusterBenchRecord) render(w io.Writer, jsonPath string) error {
+func (r *clusterBenchRecord) render(w io.Writer) error {
 	var werr error
 	printf(w, &werr, "cluster benchmark: %s scale %g, %d graphs over %d nodes (k=%d, mc=%d, seed %d)\n",
 		r.Dataset, r.Scale, len(r.GraphNames), len(r.Nodes), r.K, r.MC, r.Seed)
@@ -723,15 +721,5 @@ func (r *clusterBenchRecord) render(w io.Writer, jsonPath string) error {
 	printf(w, &werr, "  rebalance (n3 out): %d graphs moved, %d entries published, %d adopted, %d rebuilt in %v\n",
 		r.GraphsMoved, r.RebalancePublished, r.RebalanceAdopted, r.RebalanceRebuilds,
 		time.Duration(r.RebalanceNs))
-	if werr != nil {
-		return werr
-	}
-	if jsonPath == "" {
-		return nil
-	}
-	data, err := json.MarshalIndent(r, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(jsonPath, append(data, '\n'), 0o644)
+	return werr
 }

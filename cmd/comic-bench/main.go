@@ -10,14 +10,13 @@
 //	comic-bench -exp batch -scale 0.02 -json BENCH_batch.json
 //	comic-bench -exp restore -scale 0.02 -json BENCH_restore.json
 //	comic-bench -exp regimes -scale 0.02 -json BENCH_regimes.json
-//	comic-bench -exp warmpath -scale 0.02 -json BENCH_warmpath.json
 //	comic-bench -exp cluster -scale 0.02 -mc 200 -json BENCH_cluster.json
 //	comic-bench -check fresh.json BENCH_selfinfmax.json
 //
 // Experiment ids: table1, table2, table3, table4, table5-7, table8, fig4,
 // fig5, fig6, fig7a, fig7b, fig8, selfinfmax, batch, restore, regimes,
-// warmpath, cluster, all. At -scale 1 the datasets match the paper's Table 1 sizes (slow on a
-// laptop); the default 0.05 reproduces the shapes in minutes.
+// cluster, all. At -scale 1 the datasets match the paper's Table 1 sizes
+// (slow on a laptop); the default 0.05 reproduces the shapes in minutes.
 //
 // The selfinfmax experiment times one cold and one warm SelfInfMax solve
 // against a shared RR-set index and, with -json FILE, writes a
@@ -36,13 +35,6 @@
 // on a stateful server, SaveState snapshot, simulated restart, warm solve
 // from the restored RR-set index. The run fails if the restored seeds
 // diverge from the cold ones or the restored server builds any collection.
-//
-// The warmpath experiment pins the memoized CELF seed orderings: it times
-// the one-time ordering build on a cold solve against the O(k) prefix
-// slice a warm solve pays (the sub-millisecond path), records the exact
-// order bytes and hit/miss counters, and runs a fixed-θ k-sweep whose
-// per-k selections — one collection build, one ordering build, every k a
-// prefix of the same ordering — are all pinned in the committed record.
 //
 // The regimes experiment runs one cold SelfInfMax solve per GAP regime —
 // the full partition the regime-aware planner routes on — recording the
@@ -71,7 +63,6 @@
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
@@ -85,9 +76,18 @@ import (
 	"comic/internal/stats"
 )
 
+// benches maps each benchmark experiment id to its runner.
+var benches = map[string]func(experiments.Config) (record, error){
+	"selfinfmax": func(cfg experiments.Config) (record, error) { return runSelfInfMaxBench(cfg) },
+	"batch":      func(cfg experiments.Config) (record, error) { return runBatchBench(cfg) },
+	"restore":    func(cfg experiments.Config) (record, error) { return runRestoreBench(cfg) },
+	"regimes":    func(cfg experiments.Config) (record, error) { return runRegimesBench(cfg) },
+	"cluster":    func(cfg experiments.Config) (record, error) { return runClusterBench(cfg) },
+}
+
 func main() {
 	var (
-		exp        = flag.String("exp", "all", "experiment id (table1..table8, fig4..fig8, selfinfmax, batch, all)")
+		exp        = flag.String("exp", "all", "experiment id (table1..table8, fig4..fig8, selfinfmax, batch, restore, regimes, cluster, all)")
 		scale      = flag.Float64("scale", 0.05, "dataset scale in (0, 1]")
 		seed       = flag.Uint64("seed", 42, "master random seed")
 		mcRuns     = flag.Int("mc", 2000, "Monte-Carlo evaluation runs per seed set")
@@ -129,74 +129,16 @@ func main() {
 		cfg.DatasetNames = strings.Split(*dsets, ",")
 	}
 
-	if *exp == "selfinfmax" {
-		rec, err := runSelfInfMaxBench(cfg)
+	if runBench, ok := benches[*exp]; ok {
+		rec, err := runBench(cfg)
+		if err == nil {
+			err = rec.render(os.Stdout)
+		}
+		if err == nil && *jsonOut != "" {
+			err = writeRecord(*jsonOut, rec)
+		}
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "comic-bench: selfinfmax: %v\n", err)
-			os.Exit(1)
-		}
-		if err := rec.render(os.Stdout, *jsonOut); err != nil {
-			fmt.Fprintf(os.Stderr, "comic-bench: selfinfmax: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *exp == "batch" {
-		rec, err := runBatchBench(cfg)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "comic-bench: batch: %v\n", err)
-			os.Exit(1)
-		}
-		if err := rec.render(os.Stdout, *jsonOut); err != nil {
-			fmt.Fprintf(os.Stderr, "comic-bench: batch: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *exp == "restore" {
-		rec, err := runRestoreBench(cfg)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "comic-bench: restore: %v\n", err)
-			os.Exit(1)
-		}
-		if err := rec.render(os.Stdout, *jsonOut); err != nil {
-			fmt.Fprintf(os.Stderr, "comic-bench: restore: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *exp == "warmpath" {
-		rec, err := runWarmPathBench(cfg)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "comic-bench: warmpath: %v\n", err)
-			os.Exit(1)
-		}
-		if err := rec.render(os.Stdout, *jsonOut); err != nil {
-			fmt.Fprintf(os.Stderr, "comic-bench: warmpath: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *exp == "regimes" {
-		rec, err := runRegimesBench(cfg)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "comic-bench: regimes: %v\n", err)
-			os.Exit(1)
-		}
-		if err := rec.render(os.Stdout, *jsonOut); err != nil {
-			fmt.Fprintf(os.Stderr, "comic-bench: regimes: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *exp == "cluster" {
-		rec, err := runClusterBench(cfg)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "comic-bench: cluster: %v\n", err)
-			os.Exit(1)
-		}
-		if err := rec.render(os.Stdout, *jsonOut); err != nil {
-			fmt.Fprintf(os.Stderr, "comic-bench: cluster: %v\n", err)
+			fmt.Fprintf(os.Stderr, "comic-bench: %s: %v\n", *exp, err)
 			os.Exit(1)
 		}
 		return
@@ -250,8 +192,7 @@ type benchRecord struct {
 	// evaluation); WarmNs is the same solve answered from the warm index.
 	// WarmNs still times the full round trip — Monte-Carlo evaluation
 	// included — so SelectWarmNs separates out the seed-selection part of
-	// the warm solve (the sum of the warm candidates' SelectDuration), the
-	// number the memoized orderings actually drive to sub-millisecond.
+	// the warm solve (the sum of the warm candidates' SelectDuration).
 	ColdNs       int64   `json:"coldNs"`
 	WarmNs       int64   `json:"warmNs"`
 	SelectWarmNs int64   `json:"selectWarmNs"`
@@ -341,9 +282,7 @@ func runSelfInfMaxBench(cfg experiments.Config) (*benchRecord, error) {
 	return rec, nil
 }
 
-// render prints a human-readable summary and, when jsonPath is non-empty,
-// writes the record there as indented JSON.
-func (r *benchRecord) render(w io.Writer, jsonPath string) error {
+func (r *benchRecord) render(w io.Writer) error {
 	var werr error
 	printf(w, &werr, "selfinfmax benchmark: %s scale %g, k=%d, seed %d\n", r.Dataset, r.Scale, r.K, r.Seed)
 	printf(w, &werr, "  theta %d across candidates; kpt %v, gen %v, select %v\n",
@@ -353,17 +292,7 @@ func (r *benchRecord) render(w io.Writer, jsonPath string) error {
 		time.Duration(r.ColdNs), time.Duration(r.WarmNs), float64(r.ColdNs)/float64(r.WarmNs),
 		time.Duration(r.SelectWarmNs))
 	printf(w, &werr, "  seeds %v\n", r.Seeds)
-	if werr != nil {
-		return werr
-	}
-	if jsonPath == "" {
-		return nil
-	}
-	data, err := json.MarshalIndent(r, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(jsonPath, append(data, '\n'), 0o644)
+	return werr
 }
 
 func run(id string, cfg experiments.Config) ([]*stats.Table, error) {

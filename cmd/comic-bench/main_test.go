@@ -87,7 +87,10 @@ func TestBatchBenchRecord(t *testing.T) {
 
 	path := filepath.Join(t.TempDir(), "BENCH_batch.json")
 	var buf bytes.Buffer
-	if rerr := rec.render(&buf, path); rerr != nil {
+	if rerr := rec.render(&buf); rerr != nil {
+		t.Fatal(rerr)
+	}
+	if rerr := writeRecord(path, rec); rerr != nil {
 		t.Fatal(rerr)
 	}
 	data, err := os.ReadFile(path)
@@ -125,7 +128,10 @@ func TestSelfInfMaxBenchRecord(t *testing.T) {
 
 	path := filepath.Join(t.TempDir(), "BENCH_selfinfmax.json")
 	var buf bytes.Buffer
-	if rerr := rec.render(&buf, path); rerr != nil {
+	if rerr := rec.render(&buf); rerr != nil {
+		t.Fatal(rerr)
+	}
+	if rerr := writeRecord(path, rec); rerr != nil {
 		t.Fatal(rerr)
 	}
 	if buf.Len() == 0 {

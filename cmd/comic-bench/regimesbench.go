@@ -1,10 +1,8 @@
 package main
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
-	"os"
 	"time"
 
 	"comic"
@@ -151,9 +149,7 @@ func runRegimesBench(cfg experiments.Config) (*regimeBenchRecord, error) {
 	return rec, nil
 }
 
-// render prints a human-readable summary and, when jsonPath is non-empty,
-// writes the record there as indented JSON.
-func (r *regimeBenchRecord) render(w io.Writer, jsonPath string) error {
+func (r *regimeBenchRecord) render(w io.Writer) error {
 	var werr error
 	printf(w, &werr, "regimes benchmark: %s scale %g, k=%d, theta %d, seed %d\n",
 		r.Dataset, r.Scale, r.K, r.FixedTheta, r.Seed)
@@ -161,15 +157,5 @@ func (r *regimeBenchRecord) render(w io.Writer, jsonPath string) error {
 		printf(w, &werr, "  %-24s -> %-9s cold %-12v seeds %v\n",
 			e.Regime, e.Algorithm, time.Duration(e.ColdNs), e.Seeds)
 	}
-	if werr != nil {
-		return werr
-	}
-	if jsonPath == "" {
-		return nil
-	}
-	data, err := json.MarshalIndent(r, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(jsonPath, append(data, '\n'), 0o644)
+	return werr
 }

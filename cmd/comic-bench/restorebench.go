@@ -176,9 +176,7 @@ type solveRespRecord struct {
 	} `json:"candidates"`
 }
 
-// render prints a human-readable summary and, when jsonPath is non-empty,
-// writes the record there as indented JSON.
-func (r *restoreBenchRecord) render(w io.Writer, jsonPath string) error {
+func (r *restoreBenchRecord) render(w io.Writer) error {
 	var werr error
 	printf(w, &werr, "restore benchmark: %s scale %g, k=%d, theta %d, seed %d\n",
 		r.Dataset, r.Scale, r.K, r.FixedTheta, r.Seed)
@@ -188,15 +186,5 @@ func (r *restoreBenchRecord) render(w io.Writer, jsonPath string) error {
 	printf(w, &werr, "  cold vs restore+warm: %.1fx\n",
 		float64(r.ColdNs)/float64(r.RestoreNs+r.WarmNs))
 	printf(w, &werr, "  seeds %v\n", r.Seeds)
-	if werr != nil {
-		return werr
-	}
-	if jsonPath == "" {
-		return nil
-	}
-	data, err := json.MarshalIndent(r, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(jsonPath, append(data, '\n'), 0o644)
+	return werr
 }

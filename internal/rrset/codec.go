@@ -36,24 +36,9 @@ import (
 //	nodes    (numNodes  × i32)
 //	crc32c of everything above   (u32)
 //
-// The collection may be followed by one OPTIONAL seed-order section — the
-// memoized CELF ordering (SeedOrder) the server caches alongside it:
-//
-//	magic "CORD" | version u32
-//	bindCRC u32                  (the main section's crc32c: binds the
-//	                              order to exactly this collection)
-//	maxK     (i64)
-//	seeds    (maxK × i32)
-//	covered  (maxK × i64)
-//	crc32c of the section        (u32)
-//
-// The section is strictly an accelerator: ReadCollection parses it
-// best-effort and on ANY failure — absence, truncation, foreign version,
-// checksum or bind mismatch, structural nonsense — returns the collection
-// with a nil Order, never an error. A damaged order can only cost a
-// recompute, not a restore and never a result. Anything after the order
-// section, or in its place, is ignored: older writers appended a postings
-// section ("CPST"), and their snapshots still restore.
+// Anything after the checksum is ignored. Older writers appended a
+// seed-order section ("CORD") and a postings section ("CPST"), and their
+// snapshots still restore.
 //
 // Every array length is cross-checked against the header and against the
 // collection's own invariants (offsets monotone from 0 to numNodes, roots
@@ -67,14 +52,6 @@ import (
 const SnapshotVersion = 1
 
 var snapshotMagic = [4]byte{'C', 'R', 'R', 'S'}
-
-// orderMagic introduces the optional seed-order section after the main
-// collection payload.
-var orderMagic = [4]byte{'C', 'O', 'R', 'D'}
-
-// OrderSectionVersion is the current seed-order section version. A foreign
-// version degrades to a nil Order on read, it does not fail the restore.
-const OrderSectionVersion = 1
 
 // maxSnapshotStringLen bounds the key and graphID strings in a snapshot
 // header; real cache keys are a few hundred bytes.
@@ -106,11 +83,6 @@ type Snapshot struct {
 	GraphN, GraphM int
 	// Collection is the immutable collection itself.
 	Collection *Collection
-	// Order optionally carries the memoized CELF seed ordering computed
-	// over Collection. WriteTo persists it as the optional trailing
-	// section when non-nil; ReadCollection restores it best-effort and
-	// leaves it nil when the section is absent or damaged.
-	Order *SeedOrder
 }
 
 // WriteTo writes the snapshot in the versioned, checksummed binary format.
@@ -161,32 +133,10 @@ func (s *Snapshot) WriteTo(w io.Writer) (int64, error) {
 	e.i64s(col.widths)
 	e.i32s(col.nodes)
 
-	mainCRC := crc.Sum32()
 	if e.err == nil {
 		var b [4]byte
-		binary.LittleEndian.PutUint32(b[:], mainCRC)
+		binary.LittleEndian.PutUint32(b[:], crc.Sum32())
 		_, e.err = bw.Write(b[:])
-	}
-	if e.err == nil && s.Order != nil {
-		o := s.Order
-		if o.n != s.GraphN || int64(o.theta) != numSets || len(o.covered) != len(o.seeds) {
-			return cw.n, fmt.Errorf("rrset: snapshot order (n=%d, theta=%d, %d/%d positions) does not match collection (n=%d, theta=%d)",
-				o.n, o.theta, len(o.seeds), len(o.covered), s.GraphN, numSets)
-		}
-		ocrc := crc32.New(crcTable)
-		oe := &encoder{w: io.MultiWriter(bw, ocrc)}
-		oe.raw(orderMagic[:])
-		oe.u32(OrderSectionVersion)
-		oe.u32(mainCRC)
-		oe.i64(int64(len(o.seeds)))
-		oe.i32s(o.seeds)
-		oe.i64s(o.covered)
-		if oe.err == nil {
-			var b [4]byte
-			binary.LittleEndian.PutUint32(b[:], ocrc.Sum32())
-			_, oe.err = bw.Write(b[:])
-		}
-		e.err = oe.err
 	}
 	if e.err == nil {
 		e.err = bw.Flush()
@@ -298,58 +248,7 @@ func ReadCollection(r io.Reader) (*Snapshot, error) {
 		}
 	}
 	col.cover = buildCoverIndex(col.offsets, col.nodes, int(graphN))
-	s.Order = readOrderSection(br, want, graphN, numSets)
 	return s, nil
-}
-
-// readOrderSection parses the optional trailing seed-order section.
-// Best-effort by design: any failure — no section, truncation, a foreign
-// version, a checksum or bind mismatch, or a structurally invalid ordering
-// — returns nil, and the caller recomputes the order on demand. mainCRC is
-// the checksum of the collection payload just read; the section's bindCRC
-// must equal it, which rejects an order spliced in from a different
-// snapshot even when the section itself is well-formed.
-func readOrderSection(r io.Reader, mainCRC uint32, graphN, numSets int64) *SeedOrder {
-	crc := crc32.New(crcTable)
-	d := &decoder{r: io.TeeReader(r, crc), scratch: make([]byte, 1<<16)}
-	var magic [4]byte
-	d.raw(magic[:])
-	version := d.u32()
-	bind := d.u32()
-	maxK := d.i64()
-	if d.err != nil || magic != orderMagic || version != OrderSectionVersion || bind != mainCRC {
-		return nil
-	}
-	if maxK < 0 || maxK > graphN {
-		return nil
-	}
-	seeds := d.i32s(maxK)
-	covered := d.i64s(maxK)
-	if d.err != nil {
-		return nil
-	}
-	want := crc.Sum32()
-	if got := d.u32(); d.err != nil || got != want {
-		return nil
-	}
-	// Structural validation: seeds are distinct node ids, covered counts
-	// monotone non-decreasing within [0, numSets]. A section passing the
-	// checksum but failing these was written by a buggy or hostile writer;
-	// degrade rather than serve it.
-	seen := make([]bool, graphN)
-	var prev int64
-	for i, v := range seeds {
-		if int64(v) < 0 || int64(v) >= graphN || seen[v] {
-			return nil
-		}
-		seen[v] = true
-		if c := covered[i]; c < prev || c > numSets {
-			return nil
-		} else {
-			prev = c
-		}
-	}
-	return &SeedOrder{seeds: seeds, covered: covered, n: int(graphN), theta: int(numSets)}
 }
 
 // --- encoding plumbing ---

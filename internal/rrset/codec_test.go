@@ -230,225 +230,57 @@ func TestReadCollectionBoundedAllocation(t *testing.T) {
 	}
 }
 
-// orderedSnapshot is builtSnapshot plus its memoized seed ordering, for the
-// order-section tests. Returns the snapshot and the encoded bytes, with the
-// offset where the order section begins (== len of the order-less encoding).
-func orderedSnapshot(t *testing.T, theta, maxK int) (*Snapshot, []byte, int) {
-	t.Helper()
-	s := builtSnapshot(t, theta)
-	plain := len(encodeSnapshot(t, s))
-	s.Order = BuildSeedOrder(s.Collection, s.GraphN, maxK)
-	return s, encodeSnapshot(t, s), plain
-}
-
-// refreshOrderCRC recomputes the order section's trailing checksum so a test
-// can forge section contents and still present an internally valid section —
-// the reader must then reject it on bindCRC or structural grounds.
-func refreshOrderCRC(b []byte, sectionStart int) {
-	sum := crc32.Checksum(b[sectionStart:len(b)-4], crcTable)
-	binary.LittleEndian.PutUint32(b[len(b)-4:], sum)
-}
-
-func TestSnapshotOrderRoundTrip(t *testing.T) {
-	s, data, plain := orderedSnapshot(t, 400, 25)
-	got, err := ReadCollection(bytes.NewReader(data))
+// TestSnapshotIgnoresTrailingSections: older writers appended a seed-order
+// section ("CORD") and then a postings section ("CPST") after the main
+// checksum. Snapshots carrying either, both, or trailing garbage must
+// restore exactly as the plain encoding does.
+func TestSnapshotIgnoresTrailingSections(t *testing.T) {
+	s := builtSnapshot(t, 400)
+	plain := encodeSnapshot(t, s)
+	want, err := ReadCollection(bytes.NewReader(plain))
 	if err != nil {
 		t.Fatalf("ReadCollection: %v", err)
 	}
-	if got.Order == nil {
-		t.Fatal("order section written but not restored")
-	}
-	if !reflect.DeepEqual(got.Order, s.Order) {
-		t.Fatalf("restored order differs: %+v vs %+v", got.Order, s.Order)
-	}
-	if got.Order.Bytes() != s.Order.Bytes() {
-		t.Fatalf("restored order Bytes() %d != original %d", got.Order.Bytes(), s.Order.Bytes())
-	}
-	// Every prefix of the restored order must match a fresh selection.
-	for _, k := range []int{0, 1, 5, 25} {
-		want, _ := SelectSeeds(s.Collection, s.GraphN, k)
-		gotSeeds, st, ok := SelectFromOrder(got.Collection, got.Order, s.GraphN, k)
-		if !ok {
-			t.Fatalf("SelectFromOrder rejected restored order at k=%d", k)
-		}
-		if !reflect.DeepEqual(gotSeeds, want) {
-			t.Fatalf("k=%d: restored order selects %v, fresh %v", k, gotSeeds, want)
-		}
-		if st == nil {
-			t.Fatalf("k=%d: nil stats from order", k)
-		}
-	}
-	// An order-less snapshot (the v1 format to date) must load with a nil
-	// Order and an otherwise identical collection.
-	old, err := ReadCollection(bytes.NewReader(data[:plain]))
-	if err != nil {
-		t.Fatalf("ReadCollection (no order section): %v", err)
-	}
-	if old.Order != nil {
-		t.Fatal("order restored from a snapshot that has none")
-	}
-	if !reflect.DeepEqual(old.Collection, got.Collection) {
-		t.Fatal("collection differs with and without the order section")
-	}
-	// Older writers appended a postings section ("CPST": version, bindCRC,
-	// set/edge/node counts, two offset arrays, checksum) after the order.
-	// The reader ignores it: collection and order restore intact.
-	var sec bytes.Buffer
+	mainCRC := binary.LittleEndian.Uint32(plain[len(plain)-4:])
 	theta := int64(s.Collection.Len())
-	sec.WriteString("CPST")
-	for _, v := range []any{uint32(1), binary.LittleEndian.Uint32(data[plain-4 : plain]), theta, int64(0), int64(0),
-		make([]int64, theta+1), make([]int64, theta+1)} {
-		if werr := binary.Write(&sec, binary.LittleEndian, v); werr != nil {
-			t.Fatal(werr)
+	// section encodes magic, then each field little-endian, then the
+	// crc32c of everything before it, as the old writers did.
+	section := func(magic string, fields ...any) []byte {
+		var b bytes.Buffer
+		b.WriteString(magic)
+		for _, v := range fields {
+			if err := binary.Write(&b, binary.LittleEndian, v); err != nil {
+				t.Fatal(err)
+			}
 		}
+		if err := binary.Write(&b, binary.LittleEndian, crc32.Checksum(b.Bytes(), crcTable)); err != nil {
+			t.Fatal(err)
+		}
+		return b.Bytes()
 	}
-	if werr := binary.Write(&sec, binary.LittleEndian, crc32.Checksum(sec.Bytes(), crcTable)); werr != nil {
-		t.Fatal(werr)
-	}
-	withPostings, err := ReadCollection(bytes.NewReader(append(append([]byte(nil), data...), sec.Bytes()...)))
-	if err != nil {
-		t.Fatalf("ReadCollection (trailing postings section): %v", err)
-	}
-	if !reflect.DeepEqual(withPostings.Collection, got.Collection) || !reflect.DeepEqual(withPostings.Order, s.Order) {
-		t.Fatal("a trailing postings section changed the restored collection or order")
-	}
-}
+	// CORD: version, bindCRC, maxK, seeds, per-prefix covered counts.
+	seeds, _ := SelectSeeds(s.Collection, s.GraphN, 5)
+	order := section("CORD", uint32(1), mainCRC, int64(len(seeds)), seeds, make([]int64, len(seeds)))
+	// CPST: version, bindCRC, set/edge/node counts, two offset arrays.
+	postings := section("CPST", uint32(1), mainCRC, theta, int64(0), int64(0),
+		make([]int64, theta+1), make([]int64, theta+1))
 
-func TestSnapshotWriteRejectsMismatchedOrder(t *testing.T) {
-	s := builtSnapshot(t, 100)
-	other := builtSnapshot(t, 150)
-	s.Order = BuildSeedOrder(other.Collection, other.GraphN, 5) // θ=150 ≠ 100
-	var buf bytes.Buffer
-	if _, err := s.WriteTo(&buf); err == nil {
-		t.Fatal("WriteTo accepted an order built over a different collection")
-	}
-}
-
-func TestSnapshotOrderSectionCorruption(t *testing.T) {
-	// A damaged order section must never fail the restore and must never
-	// change results: ReadCollection succeeds, and the Order is either nil
-	// or selects exactly what a fresh CELF run would.
-	s, valid, plain := orderedSnapshot(t, 100, 10)
-	freshSeeds, _ := SelectSeeds(s.Collection, s.GraphN, 10)
-
-	check := func(name string, f func(b []byte) []byte, wantDegraded bool) {
-		t.Run(name, func(t *testing.T) {
-			b := f(append([]byte(nil), valid...))
-			got, err := ReadCollection(bytes.NewReader(b))
-			if err != nil {
-				t.Fatalf("order-section damage failed the restore: %v", err)
-			}
-			if wantDegraded && got.Order != nil {
-				t.Fatal("damaged order section was restored")
-			}
-			if got.Order != nil {
-				seeds, _, ok := SelectFromOrder(got.Collection, got.Order, s.GraphN, 10)
-				if !ok || !reflect.DeepEqual(seeds, freshSeeds) {
-					t.Fatalf("restored order selects %v (ok=%v), fresh %v", seeds, ok, freshSeeds)
-				}
-			}
-		})
-	}
-
-	check("truncated-mid-section", func(b []byte) []byte {
-		return b[:plain+(len(b)-plain)/2]
-	}, true)
-	check("truncated-trailer", func(b []byte) []byte { return b[:len(b)-1] }, true)
-	check("bad-magic", func(b []byte) []byte { b[plain] ^= 0xff; return b }, true)
-	check("wrong-version", func(b []byte) []byte {
-		b[plain+4]++
-		refreshOrderCRC(b, plain)
-		return b
-	}, true)
-	check("bind-crc-mismatch", func(b []byte) []byte {
-		b[plain+8] ^= 0x01
-		refreshOrderCRC(b, plain)
-		return b
-	}, true)
-	check("flipped-seed-byte", func(b []byte) []byte { b[plain+20] ^= 0x02; return b }, true)
-	check("flipped-section-crc", func(b []byte) []byte { b[len(b)-1] ^= 0x01; return b }, true)
-	check("forged-maxk-over-n", func(b []byte) []byte {
-		binary.LittleEndian.PutUint64(b[plain+12:], 1<<40)
-		refreshOrderCRC(b, plain)
-		return b
-	}, true)
-	check("forged-maxk-negative", func(b []byte) []byte {
-		binary.LittleEndian.PutUint64(b[plain+12:], uint64(1)<<63)
-		refreshOrderCRC(b, plain)
-		return b
-	}, true)
-	check("duplicate-seed", func(b []byte) []byte {
-		copy(b[plain+20+4:plain+20+8], b[plain+20:plain+20+4])
-		refreshOrderCRC(b, plain)
-		return b
-	}, true)
-	check("trailing-garbage-after-section", func(b []byte) []byte {
-		return append(b, 0xde, 0xad)
-	}, false)
-	check("untouched", func(b []byte) []byte { return b }, false)
-
-	// An order section spliced onto a different snapshot must be rejected by
-	// the bind checksum even though the section itself is internally valid.
-	t.Run("order-from-other-collection", func(t *testing.T) {
-		other := encodeSnapshot(t, builtSnapshot(t, 120))
-		spliced := append(append([]byte(nil), other...), valid[plain:]...)
-		got, err := ReadCollection(bytes.NewReader(spliced))
+	for _, tc := range []struct {
+		name string
+		tail []byte
+	}{
+		{"order", order},
+		{"order+postings", append(append([]byte(nil), order...), postings...)},
+		{"garbage", []byte{0xde, 0xad, 0xbe, 0xef}},
+	} {
+		got, err := ReadCollection(bytes.NewReader(append(append([]byte(nil), plain...), tc.tail...)))
 		if err != nil {
-			t.Fatalf("spliced order failed the restore: %v", err)
+			t.Fatalf("%s: ReadCollection: %v", tc.name, err)
 		}
-		if got.Order != nil {
-			t.Fatal("order bound to a different collection was restored")
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: trailing bytes changed the restored snapshot", tc.name)
 		}
-	})
-}
-
-// FuzzSeedOrderSection mutates the bytes after a valid collection payload —
-// the optional order section — and asserts the invariant the codec promises:
-// the restore itself never fails and never panics, and anything restored as
-// an Order is structurally safe to slice. (crc32 is not cryptographic, so a
-// fuzzed section can in principle pass both checksums; equality with fresh
-// CELF is pinned by the deterministic corruption table above, not here.)
-func FuzzSeedOrderSection(f *testing.F) {
-	g := graph.PowerLaw(60, 4, 2.16, true, rng.New(5))
-	graph.AssignWeightedCascade(g)
-	col := BuildCollection(NewIC(g), g.M(), 3, Options{FixedTheta: 50, Workers: 2}, 11)
-	s := &Snapshot{Key: "fz", GraphID: "g#fz", GraphN: g.N(), GraphM: g.M(), Collection: col}
-	var buf bytes.Buffer
-	if _, err := s.WriteTo(&buf); err != nil {
-		f.Fatal(err)
 	}
-	prefix := append([]byte(nil), buf.Bytes()...)
-	s.Order = BuildSeedOrder(col, g.N(), 8)
-	buf.Reset()
-	if _, err := s.WriteTo(&buf); err != nil {
-		f.Fatal(err)
-	}
-	f.Add(append([]byte(nil), buf.Bytes()[len(prefix):]...))
-	f.Add([]byte("CORD"))
-	f.Add([]byte{})
-	f.Fuzz(func(t *testing.T, section []byte) {
-		data := append(append([]byte(nil), prefix...), section...)
-		got, err := ReadCollection(bytes.NewReader(data))
-		if err != nil {
-			t.Fatalf("order-section bytes must never fail the restore: %v", err)
-		}
-		if got.Order == nil {
-			return
-		}
-		o := got.Order
-		if o.N() != s.GraphN || o.Theta() != col.Len() || o.MaxK() > s.GraphN {
-			t.Fatalf("restored order out of domain: n=%d θ=%d maxK=%d", o.N(), o.Theta(), o.MaxK())
-		}
-		for k := 0; k <= o.MaxK(); k++ {
-			seeds, covered := o.Prefix(k)
-			if len(seeds) != k || covered < 0 || covered > int64(col.Len()) {
-				t.Fatalf("Prefix(%d) = %d seeds, covered %d", k, len(seeds), covered)
-			}
-		}
-		if _, _, ok := SelectFromOrder(got.Collection, o, s.GraphN, o.MaxK()); !ok {
-			t.Fatal("restored order rejected by SelectFromOrder")
-		}
-	})
 }
 
 func FuzzReadCollection(f *testing.F) {

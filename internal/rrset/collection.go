@@ -46,7 +46,7 @@ type Collection struct {
 
 	// cover is the packed inverted coverage index (node -> containing set
 	// ids), built once per collection on top of the arena buffers so every
-	// selection and seed-order build reuses it. nil only on hand-assembled
+	// selection reuses it. nil only on hand-assembled
 	// collections; selection then builds an ephemeral one (coverFor).
 	cover *coverIndex
 
@@ -197,7 +197,7 @@ func SelectSeeds(col *Collection, n, k int) ([]int32, *Stats) {
 	}
 	//comic:timing reported phase duration; never feeds seed selection
 	t := time.Now()
-	seeds, covered := celfCover(col.coverFor(n), col.offsets, col.nodes, k, nil)
+	seeds, covered := celfCover(col.coverFor(n), col.offsets, col.nodes, k)
 	//comic:timing reported phase duration; never feeds seed selection
 	st.SelectDuration = time.Since(t)
 	if col.Len() > 0 {

@@ -7,7 +7,7 @@ import "unsafe"
 // arena in CSR form. BuildCollection (and the snapshot codec) builds it once
 // on top of the arena buffers; every selection over the collection then
 // reuses it instead of re-inverting the node arena per query, which is what
-// makes memoized seed orderings (SeedOrder) and warm selections cheap.
+// makes a warm selection cheap.
 //
 // Like the collection arena itself, both backing arrays are allocated with
 // len == cap so Collection.Bytes stays exact.
@@ -61,8 +61,8 @@ func (c *Collection) coverFor(n int) *coverIndex {
 }
 
 // celfCover is the CELF lazy-greedy max-coverage core over a packed
-// coverage index, shared by SelectSeeds (one k) and BuildSeedOrder (the
-// full ordering). Coverage is tracked in a word-packed bitset over set ids.
+// coverage index, shared by SelectSeeds and SelectMaxCoverage. Coverage is
+// tracked in a word-packed bitset over set ids.
 //
 // Marginal gains only shrink as sets become covered (coverage counts are
 // monotone decreasing), so a popped entry whose cached gain is still
@@ -72,11 +72,7 @@ func (c *Collection) coverFor(n int) *coverIndex {
 // construction (ties break to the lowest node id via lazyKey);
 // TestSelectMaxCoverageMatchesScan and internal/rrset/ordertest pin this
 // against the retained SelectMaxCoverageScan oracle.
-//
-// When prefix is non-nil, the cumulative covered count is appended after
-// each selected seed, so prefix[i] is the coverage of seeds[:i+1] — the
-// per-prefix counts a SeedOrder serves slices from.
-func celfCover(cov *coverIndex, offsets []int64, nodes []int32, k int, prefix *[]int64) ([]int32, int) {
+func celfCover(cov *coverIndex, offsets []int64, nodes []int32, k int) ([]int32, int) {
 	n := cov.n
 	numSets := len(offsets) - 1
 	if numSets < 0 {
@@ -139,9 +135,6 @@ func celfCover(cov *coverIndex, offsets []int64, nodes []int32, k int, prefix *[
 			for _, u := range nodes[offsets[si]:offsets[si+1]] {
 				count[u]--
 			}
-		}
-		if prefix != nil {
-			*prefix = append(*prefix, int64(totalCovered))
 		}
 	}
 	return seeds, totalCovered

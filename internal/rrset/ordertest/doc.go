@@ -1,14 +1,12 @@
-// Package ordertest is the differential test harness pinning memoized CELF
-// seed orderings (rrset.SeedOrder) to the selection they memoize. It holds
-// no production code — only randomized property tests that, across all six
-// GAP regimes, assert three selection paths agree seed-for-seed on the same
-// collection:
+// Package ordertest is the differential test harness pinning CELF seed
+// selection to the eager argmax oracle. It holds no production code — only
+// randomized property tests that, across all six GAP regimes, assert two
+// selection paths agree seed-for-seed on the same collection:
 //
 //   - rrset.SelectMaxCoverageScan, the retained pre-CELF eager argmax scan,
 //     as the ground-truth oracle;
-//   - rrset.SelectSeeds, the CELF lazy-greedy production path;
-//   - rrset.SelectFromOrder over rrset.BuildSeedOrder, the memoized path
-//     the server's warm solves slice from.
+//   - rrset.SelectSeeds, the CELF lazy-greedy production path over the
+//     collection's coverage index.
 //
 // The harness lives outside package rrset so it exercises only the
 // exported surface — exactly what internal/server and internal/solver

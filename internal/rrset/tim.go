@@ -191,7 +191,7 @@ func SelectMaxCoverage(sets []RRSet, n, k int) ([]int32, int) {
 	for i := range sets {
 		nodes = append(nodes, sets[i].Nodes...)
 	}
-	return celfCover(buildCoverIndex(offsets, nodes, n), offsets, nodes, k, nil)
+	return celfCover(buildCoverIndex(offsets, nodes, n), offsets, nodes, k)
 }
 
 // lazyKey packs one CELF priority-queue entry into a uint64 that orders by
@@ -210,9 +210,8 @@ func lazyNode(key uint64) int32 { return int32(^uint32(key)) }
 // SelectMaxCoverageScan is the pre-CELF eager implementation: a full argmax
 // scan over all n nodes per selected seed. Retained as the ground-truth
 // oracle for TestSelectMaxCoverageMatchesScan and the differential harness
-// in internal/rrset/ordertest; SelectMaxCoverage, SelectSeeds and
-// SelectFromOrder must all match it seed-for-seed, ties included (lowest
-// node id wins).
+// in internal/rrset/ordertest; SelectMaxCoverage and SelectSeeds must
+// both match it seed-for-seed, ties included (lowest node id wins).
 func SelectMaxCoverageScan(sets []RRSet, n, k int) ([]int32, int) {
 	degree := make([]int32, n)
 	for i := range sets {

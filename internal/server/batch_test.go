@@ -147,6 +147,84 @@ func TestBatchEnvelopeValidation(t *testing.T) {
 	}
 }
 
+// TestWarmPathBatchJobSingleParity pins the warm path end to end over HTTP:
+// a k-sweep under a fixed θ shares one collection across /v1/selfinfmax,
+// /v1/batch and /v1/jobs, and every route returns byte-identical results
+// for the same query. With the strict-Q+ Flixster GAPs each solve needs the
+// lower and upper bound collections, so the whole sweep costs exactly 2
+// collection builds no matter how many k values or routes it spans.
+func TestWarmPathBatchJobSingleParity(t *testing.T) {
+	s := newTestServer(t, testDataset(t))
+	t.Cleanup(s.Close)
+
+	query := func(k int) string {
+		return fmt.Sprintf(`{"dataset":"Flixster","k":%d,"seedsB":[1,2],"fixedTheta":2000,"evalRuns":300,"seed":5}`, k)
+	}
+	const kmax = 6
+
+	// Singles, k ascending: the first solve builds, the rest hit.
+	singles := make([]solveResp, kmax+1)
+	for k := 1; k <= kmax; k++ {
+		if rec := do(t, s, http.MethodPost, "/v1/selfinfmax", query(k), &singles[k]); rec.Code != http.StatusOK {
+			t.Fatalf("k=%d solve = %d %q", k, rec.Code, rec.Body.String())
+		}
+	}
+
+	st := s.Index().Stats()
+	if st.Misses != 2 || st.Hits != 2*(kmax-1) {
+		t.Fatalf("k-sweep stats = %d misses / %d hits, want 2/%d (one collection pair, two bounds × %d warm solves)",
+			st.Misses, st.Hits, 2*(kmax-1), kmax-1)
+	}
+
+	// The same sweep through /v1/batch must be answered fully warm and
+	// byte-identical per k.
+	var ops []string
+	for k := 1; k <= kmax; k++ {
+		ops = append(ops, fmt.Sprintf(`{"op":"selfinfmax",%s`, query(k)[1:]))
+	}
+	wrapped := fmt.Sprintf(`{"queries":[%s]}`, strings.Join(ops, ","))
+	var batch batchResp
+	if rec := do(t, s, http.MethodPost, "/v1/batch", wrapped, &batch); rec.Code != http.StatusOK {
+		t.Fatalf("batch = %d %q", rec.Code, rec.Body.String())
+	}
+	if batch.Succeeded != kmax {
+		t.Fatalf("batch succeeded = %d, want %d", batch.Succeeded, kmax)
+	}
+	for i := 0; i < kmax; i++ {
+		var got solveResp
+		if err := json.Unmarshal(batch.Results[i].Result, &got); err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, singles[i+1]) {
+			t.Fatalf("batch k=%d %+v != single %+v", i+1, got, singles[i+1])
+		}
+	}
+
+	// And through /v1/jobs.
+	var submitted jobStatusResp
+	if rec := do(t, s, http.MethodPost, "/v1/jobs", wrapped, &submitted); rec.Code != http.StatusAccepted {
+		t.Fatalf("job submit = %d %q", rec.Code, rec.Body.String())
+	}
+	finished := pollJob(t, s, submitted.ID)
+	if finished.State != "done" || finished.Result == nil || finished.Result.Succeeded != kmax {
+		t.Fatalf("job outcome = %+v", finished)
+	}
+	for i := 0; i < kmax; i++ {
+		var got solveResp
+		if err := json.Unmarshal(finished.Result.Results[i].Result, &got); err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, singles[i+1]) {
+			t.Fatalf("job k=%d %+v != single %+v", i+1, got, singles[i+1])
+		}
+	}
+
+	// Batch and job added zero builds.
+	if end := s.Index().Stats(); end.Misses != 2 {
+		t.Fatalf("after batch+job: %d misses, want still 2", end.Misses)
+	}
+}
+
 func mustJSON(v any) string {
 	b, _ := json.Marshal(v)
 	return string(b)

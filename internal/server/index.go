@@ -28,21 +28,11 @@ import (
 //     report their exact resident size (rrset.Collection.Bytes), so the
 //     budget is a real bound, not an estimate.
 //
-// Beyond collections, the index memoizes one CELF seed ordering
-// (rrset.SeedOrder) per resident collection: the full greedy order up to
-// MaxOrderK, built on the first selection and answering every later k ≤
-// MaxOrderK as an O(k) slice. It implements rrset.SeedSelector, so solvers
-// that route selection through rrset.ObtainSeeds hit the memo
-// transparently; results are byte-identical to a fresh SelectSeeds (CELF is
-// prefix-stable), only the latency changes. Orders are byte-accounted
-// against the same budget as their collections and evicted with them.
-//
 // An Index implements rrset.CollectionProvider and can be plugged into any
 // solver via solver.Config.Collections (or comic.Options.Index).
 type Index struct {
-	maxBytes  int64
-	maxOrderK int
-	sem       chan struct{} // non-nil: bounds concurrent builds (SetBuildLimit)
+	maxBytes int64
+	sem      chan struct{} // non-nil: bounds concurrent builds (SetBuildLimit)
 
 	// snapMu serializes snapshot I/O (SaveSnapshot, LoadSnapshot,
 	// PublishGraph, AdoptGraph, and the object deletions of DropGraph). It
@@ -51,15 +41,13 @@ type Index struct {
 	// before mu.
 	snapMu sync.Mutex
 
-	mu          sync.Mutex
-	bytes       int64
-	orderBytes  int64                    // resident seed-order bytes, ⊆ bytes
-	entries     map[string]*list.Element // key -> element whose Value is *indexEntry
-	lru         *list.List               // front = most recently used
-	inflight    map[string]*flight
-	orderFlight map[string]*orderFlight
-	snapStore   SnapshotStore // last SaveSnapshot/LoadSnapshot directory; nil = none
-	stats       IndexStats
+	mu        sync.Mutex
+	bytes     int64
+	entries   map[string]*list.Element // key -> element whose Value is *indexEntry
+	lru       *list.List               // front = most recently used
+	inflight  map[string]*flight
+	snapStore SnapshotStore // last SaveSnapshot/LoadSnapshot directory; nil = none
+	stats     IndexStats
 }
 
 // indexEntry is one resident collection. It retains the graph the
@@ -72,11 +60,6 @@ type indexEntry struct {
 	col     *rrset.Collection
 	graph   *graph.Graph
 	bytes   int64
-	// order is the memoized seed ordering over col, nil until the first
-	// selection (or a snapshot restore) computes it; orderBytes is its
-	// exact footprint, included in Index.bytes while attached.
-	order      *rrset.SeedOrder
-	orderBytes int64
 }
 
 // flight is one in-progress build that concurrent identical requests wait
@@ -87,13 +70,6 @@ type flight struct {
 	graph *graph.Graph
 	col   *rrset.Collection
 	err   error
-}
-
-// orderFlight is one in-progress seed-order build. Concurrent warm solves
-// over the same collection wait on it instead of each running CELF.
-type orderFlight struct {
-	done  chan struct{}
-	order *rrset.SeedOrder
 }
 
 // IndexStats is a point-in-time snapshot of cache behavior, served by
@@ -124,15 +100,6 @@ type IndexStats struct {
 	// skipped, never served.
 	Restores       int64 `json:"restores"`
 	RestoreRejects int64 `json:"restoreRejects"`
-	// OrderHits counts selections answered by a memoized seed ordering
-	// (including waits on another request's in-progress ordering build);
-	// OrderMisses counts selections that had to build one. Selections with
-	// k above MaxOrderK bypass the memo and count in neither.
-	OrderHits   int64 `json:"orderHits"`
-	OrderMisses int64 `json:"orderMisses"`
-	// OrderBytes is the resident memory of memoized seed orderings, a
-	// subset of ResidentBytes.
-	OrderBytes int64 `json:"orderBytes"`
 	// ResidentCollections and ResidentBytes describe current occupancy.
 	ResidentCollections int   `json:"residentCollections"`
 	ResidentBytes       int64 `json:"residentBytes"`
@@ -143,34 +110,22 @@ type IndexStats struct {
 	BuildTime time.Duration `json:"buildTimeNs"`
 }
 
-// DefaultMaxOrderK is the default depth of memoized seed orderings: large
-// enough to cover every realistic k (the server's own MaxK default is 500)
-// at a per-collection cost of ~12 bytes per position.
-const DefaultMaxOrderK = 512
-
 // NewIndex returns an empty index bounded to maxBytes of resident RR-set
 // data (exact arena accounting). maxBytes <= 0 means unbounded.
 func NewIndex(maxBytes int64) *Index {
 	return &Index{
-		maxBytes:    maxBytes,
-		maxOrderK:   DefaultMaxOrderK,
-		entries:     make(map[string]*list.Element),
-		lru:         list.New(),
-		inflight:    make(map[string]*flight),
-		orderFlight: make(map[string]*orderFlight),
+		maxBytes: maxBytes,
+		entries:  make(map[string]*list.Element),
+		lru:      list.New(),
+		inflight: make(map[string]*flight),
 	}
 }
 
-// SetMaxOrderK sets how many positions of the CELF ordering are memoized
-// per collection; selections with k beyond it fall back to a fresh CELF
-// run. k <= 0 disables seed-order memoization entirely. Like
-// SetBuildLimit, call before the index is shared across goroutines.
-func (x *Index) SetMaxOrderK(k int) {
-	if k < 0 {
-		k = 0
-	}
-	x.maxOrderK = k
-}
+// SetMaxOrderK does nothing. It set the depth of memoized CELF seed
+// orderings, which fresh selection over each collection's coverage index
+// replaced; the method stays so existing callers, such as the load
+// benchmark's in-process replay, build unchanged.
+func (x *Index) SetMaxOrderK(k int) {}
 
 // Collection returns the collection for req, building it at most once per
 // distinct key no matter how many goroutines ask concurrently. Errors are
@@ -229,121 +184,17 @@ func (x *Index) Collection(req rrset.CollectionRequest) (*rrset.Collection, erro
 }
 
 // SelectSeeds resolves req's collection and selects k seeds over a graph of
-// n nodes, answering from the memoized CELF ordering when one is resident
-// and building (at most once per collection, singleflight) when not. It
-// implements rrset.SeedSelector; solvers reach it through
-// rrset.ObtainSeeds. Results are byte-identical to Collection followed by
-// rrset.SelectSeeds — CELF orderings are prefix-stable, and any order that
-// does not exactly match the collection is discarded, never served.
-//
-// The returned Stats' SelectDuration covers the whole selection path: the
-// O(k) slice on an order hit, or the full ordering build on a miss.
+// n nodes: Collection followed by rrset.SelectSeeds, which is what solvers
+// run. It answered from memoized CELF orderings, which fresh selection
+// replaced; the method stays so existing callers, such as the load
+// benchmark's in-process replay, build unchanged.
 func (x *Index) SelectSeeds(req rrset.CollectionRequest, n, k int) ([]int32, *rrset.Stats, error) {
 	col, err := x.Collection(req)
 	if err != nil {
 		return nil, nil, err
 	}
-	kk := k
-	if kk > n {
-		kk = n
-	}
-	if kk < 0 || kk > x.maxOrderK {
-		// Beyond the memoized depth (or memoization disabled): select
-		// fresh. No order counters move — this path never consulted the
-		// memo.
-		seeds, st := rrset.SelectSeeds(col, n, k)
-		return seeds, st, nil
-	}
-	t0 := time.Now()
-	o := x.seedOrder(req.Key(), col, n)
-	if seeds, st, ok := rrset.SelectFromOrder(col, o, n, k); ok {
-		st.SelectDuration = time.Since(t0)
-		return seeds, st, nil
-	}
-	// The order did not apply (build panicked, or a concurrent builder's
-	// collection was evicted and rebuilt under our feet). Correctness over
-	// latency: select fresh.
 	seeds, st := rrset.SelectSeeds(col, n, k)
 	return seeds, st, nil
-}
-
-// seedOrder returns the memoized ordering for the collection cached under
-// key, building it singleflight when absent. The result may be nil (build
-// panic) or may not match col (rebuilt entry); the caller validates via
-// SelectFromOrder.
-func (x *Index) seedOrder(key string, col *rrset.Collection, n int) *rrset.SeedOrder {
-	maxK := x.maxOrderK
-	if maxK > n {
-		maxK = n
-	}
-	x.mu.Lock()
-	if el, ok := x.entries[key]; ok {
-		e := el.Value.(*indexEntry)
-		if e.col == col && e.order != nil && e.order.N() == n && e.order.MaxK() >= maxK {
-			x.stats.OrderHits++
-			o := e.order
-			x.mu.Unlock()
-			return o
-		}
-	}
-	if f, ok := x.orderFlight[key]; ok {
-		// Piggybacking on another request's ordering build is a hit: the
-		// CELF work runs once, everyone slices it.
-		x.stats.OrderHits++
-		x.mu.Unlock()
-		<-f.done
-		return f.order
-	}
-	f := &orderFlight{done: make(chan struct{})}
-	x.orderFlight[key] = f
-	x.stats.OrderMisses++
-	x.mu.Unlock()
-
-	o := buildOrderSafely(col, n, maxK)
-	f.order = o
-	close(f.done)
-
-	x.mu.Lock()
-	delete(x.orderFlight, key)
-	if o != nil {
-		x.attachOrderLocked(key, col, o)
-	}
-	x.mu.Unlock()
-	return o
-}
-
-// attachOrderLocked memoizes o on the resident entry for key, provided the
-// entry still holds the exact collection the order was computed over — the
-// entry may have been evicted and rebuilt while CELF ran, and an order must
-// never outlive its collection. Replaces a shallower order (a snapshot
-// restored under a smaller MaxOrderK), keeps a deeper one.
-func (x *Index) attachOrderLocked(key string, col *rrset.Collection, o *rrset.SeedOrder) {
-	el, ok := x.entries[key]
-	if !ok {
-		return
-	}
-	e := el.Value.(*indexEntry)
-	if e.col != col {
-		return
-	}
-	if e.order != nil && e.order.MaxK() >= o.MaxK() {
-		return
-	}
-	x.bytes -= e.orderBytes
-	x.orderBytes -= e.orderBytes
-	e.order = o
-	e.orderBytes = o.Bytes()
-	x.bytes += e.orderBytes
-	x.orderBytes += e.orderBytes
-	x.evictOverBudgetLocked()
-}
-
-// buildOrderSafely converts a panicking ordering build into a nil order so
-// the flight always resolves (see buildSafely); the caller then falls back
-// to a fresh selection, which surfaces the defect on its own terms.
-func buildOrderSafely(col *rrset.Collection, n, maxK int) (o *rrset.SeedOrder) {
-	defer func() { recover() }()
-	return rrset.BuildSeedOrder(col, n, maxK)
 }
 
 // graphReuseError reports whether serving a collection drawn on `cached`
@@ -397,15 +248,14 @@ func (x *Index) insertLocked(key string, col *rrset.Collection, g *graph.Graph, 
 }
 
 // evictOverBudgetLocked evicts from the cold end until the budget holds
-// again, releasing each victim's collection and any attached seed order.
+// again.
 func (x *Index) evictOverBudgetLocked() {
 	for x.maxBytes > 0 && x.bytes > x.maxBytes && x.lru.Len() > 1 {
 		back := x.lru.Back()
 		victim := back.Value.(*indexEntry)
 		x.lru.Remove(back)
 		delete(x.entries, victim.key)
-		x.bytes -= victim.bytes + victim.orderBytes
-		x.orderBytes -= victim.orderBytes
+		x.bytes -= victim.bytes
 		x.stats.Evictions++
 	}
 }
@@ -441,8 +291,7 @@ func (x *Index) DropGraph(g *graph.Graph) int {
 		if e.graph == g {
 			x.lru.Remove(el)
 			delete(x.entries, key)
-			x.bytes -= e.bytes + e.orderBytes
-			x.orderBytes -= e.orderBytes
+			x.bytes -= e.bytes
 			dropped++
 			if store != nil && e.graphID != "" {
 				dead = append(dead, key)
@@ -520,7 +369,6 @@ func (x *Index) Stats() IndexStats {
 	st := x.stats
 	st.ResidentCollections = x.lru.Len()
 	st.ResidentBytes = x.bytes
-	st.OrderBytes = x.orderBytes
 	st.MaxBytes = x.maxBytes
 	return st
 }

@@ -425,3 +425,87 @@ func TestIndexSingleflight(t *testing.T) {
 		}
 	}
 }
+
+// TestIndexEvictionChurnSafety hammers two keys through a budget that
+// cannot hold both, so selections race with evictions and rebuilds of the
+// collections they select over. Every selection must still return the
+// right seeds, and the byte accounting must balance exactly afterwards.
+func TestIndexEvictionChurnSafety(t *testing.T) {
+	g := testGraph(t)
+	reqA := testRequest(g, 1, 300)
+	reqB := testRequest(g, 2, 300)
+
+	colA, err := reqA.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	colB, err := reqB.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantA, _ := rrset.SelectSeeds(colA, g.N(), 5)
+	wantB, _ := rrset.SelectSeeds(colB, g.N(), 5)
+
+	// Budget below two collections: every alternation evicts the other key.
+	idx := NewIndex(colA.Bytes() + colB.Bytes()/2)
+
+	const workers, iters = 8, 20
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < iters; i++ {
+				req, want := reqA, wantA
+				if (w+i)%2 == 0 {
+					req, want = reqB, wantB
+				}
+				col, err := idx.Collection(req)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if seeds, _ := rrset.SelectSeeds(col, g.N(), 5); !reflect.DeepEqual(seeds, want) {
+					t.Errorf("worker %d iter %d: seeds %v, want %v", w, i, seeds, want)
+					return
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+
+	// The running total must equal a fresh walk of the resident entries —
+	// any insert/evict/drop that double-counted or leaked would show here.
+	idx.mu.Lock()
+	var sumBytes int64
+	for el := idx.lru.Front(); el != nil; el = el.Next() {
+		sumBytes += el.Value.(*indexEntry).bytes
+	}
+	gotBytes := idx.bytes
+	idx.mu.Unlock()
+	if gotBytes != sumBytes {
+		t.Fatalf("accounting drifted: bytes %d, entries sum %d", gotBytes, sumBytes)
+	}
+}
+
+// TestIndexDropGraphReleasesBytes: DropGraph must release its collections'
+// bytes — occupancy returns to zero.
+func TestIndexDropGraphReleasesBytes(t *testing.T) {
+	g := testGraph(t)
+	idx := NewIndex(0)
+	for seed := uint64(1); seed <= 3; seed++ {
+		if _, err := idx.Collection(testRequest(g, seed, 150)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if is := idx.Stats(); is.ResidentBytes <= 0 || is.ResidentCollections != 3 {
+		t.Fatalf("precondition: %+v", is)
+	}
+	if dropped := idx.DropGraph(g); dropped != 3 {
+		t.Fatalf("dropped %d, want 3", dropped)
+	}
+	is := idx.Stats()
+	if is.ResidentBytes != 0 || is.ResidentCollections != 0 {
+		t.Fatalf("drop leaked: %+v", is)
+	}
+}

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -99,11 +100,14 @@ func (q *jobQueue) finishLocked(j *job, state string) {
 	j.state = state
 	j.finished = time.Now()
 	j.cancel() // release the context's resources
+	if q.jobs[j.id] != j {
+		return // discarded by DELETE while queued: it takes no retention slot
+	}
 	q.finished = append(q.finished, j.id)
 	for q.retain > 0 && len(q.finished) > q.retain {
 		victim := q.finished[0]
 		q.finished = q.finished[1:]
-		delete(q.jobs, victim) // may already be gone via DELETE; fine
+		delete(q.jobs, victim)
 	}
 }
 
@@ -198,8 +202,9 @@ func (q *jobQueue) remove(id string) (jobStatus, bool) {
 	case jobRunning:
 		// The running batch stops at its next query boundary.
 		j.cancel()
-	default: // done or canceled: discard the record
+	default: // done or canceled: discard the record and free its retention slot
 		delete(q.jobs, id)
+		q.finished = slices.DeleteFunc(q.finished, func(f string) bool { return f == id })
 	}
 	return j.statusLocked(false), true
 }

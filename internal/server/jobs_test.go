@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"net/http"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -241,5 +242,82 @@ func TestJobCancellation(t *testing.T) {
 		// Legal if the whole batch outran the DELETE.
 	default:
 		t.Fatalf("job state after cancel = %q", st.State)
+	}
+}
+
+// newRetainTwoServer serves the test dataset with one job worker and room
+// for two finished jobs.
+func newRetainTwoServer(t *testing.T) *server.Server {
+	t.Helper()
+	s, err := server.New(server.Config{
+		Datasets:     map[string]*comic.Dataset{"Flixster": testDataset(t)},
+		MaxJobs:      1,
+		RetainedJobs: 2,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(s.Close)
+	return s
+}
+
+// submitJob submits a job and returns its id.
+func submitJob(t *testing.T, s *server.Server, body string) string {
+	t.Helper()
+	var st jobStatusResp
+	if rec := do(t, s, http.MethodPost, "/v1/jobs", body, &st); rec.Code != http.StatusAccepted {
+		t.Fatalf("submit = %d %q", rec.Code, rec.Body.String())
+	}
+	return st.ID
+}
+
+const quickJob = `{"queries":[{"op":"spread","dataset":"Flixster","seedsA":[0],"runs":200,"seed":1}]}`
+
+// TestJobRetentionSkipsDeleted: a finished job discarded by DELETE frees
+// its retention slot, so it no longer pushes live finished jobs out.
+func TestJobRetentionSkipsDeleted(t *testing.T) {
+	s := newRetainTwoServer(t)
+	first := submitJob(t, s, quickJob)
+	pollJob(t, s, first)
+	second := submitJob(t, s, quickJob)
+	pollJob(t, s, second)
+	if rec := do(t, s, http.MethodDelete, "/v1/jobs/"+second, "", nil); rec.Code != http.StatusOK {
+		t.Fatalf("delete = %d", rec.Code)
+	}
+	pollJob(t, s, submitJob(t, s, quickJob))
+	if rec := do(t, s, http.MethodGet, "/v1/jobs/"+first, "", nil); rec.Code != http.StatusOK {
+		t.Fatalf("poll %s = %d, want 200: a deleted job still held a retention slot", first, rec.Code)
+	}
+}
+
+// TestJobDeletedWhileQueuedTakesNoSlot: a job DELETEd twice while queued —
+// canceled, then discarded — takes no retention slot when its worker pops
+// it.
+func TestJobDeletedWhileQueuedTakesNoSlot(t *testing.T) {
+	s := newRetainTwoServer(t)
+	// A long batch holds the only worker while the second job waits.
+	var queries []string
+	for i := 0; i < 40; i++ {
+		queries = append(queries, fmt.Sprintf(`{"op":"spread","dataset":"Flixster","seedsA":[0],"runs":20000,"seed":%d}`, i))
+	}
+	long := submitJob(t, s, `{"queries":[`+strings.Join(queries, ",")+`]}`)
+	queued := submitJob(t, s, quickJob)
+	for i := 0; i < 2; i++ {
+		if rec := do(t, s, http.MethodDelete, "/v1/jobs/"+queued, "", nil); rec.Code != http.StatusOK {
+			t.Fatalf("delete %d = %d", i+1, rec.Code)
+		}
+	}
+	if rec := do(t, s, http.MethodGet, "/v1/jobs/"+queued, "", nil); rec.Code != http.StatusNotFound {
+		t.Fatalf("poll after discard = %d, want 404", rec.Code)
+	}
+	if rec := do(t, s, http.MethodDelete, "/v1/jobs/"+long, "", nil); rec.Code != http.StatusOK {
+		t.Fatalf("cancel = %d", rec.Code)
+	}
+	pollJob(t, s, long)
+	// The single worker pops the discarded job before this one, so two
+	// finished jobs are retained: the long one and this one.
+	pollJob(t, s, submitJob(t, s, quickJob))
+	if rec := do(t, s, http.MethodGet, "/v1/jobs/"+long, "", nil); rec.Code != http.StatusOK {
+		t.Fatalf("poll %s = %d, want 200: a discarded job took a retention slot", long, rec.Code)
 	}
 }

@@ -238,9 +238,6 @@ func New(cfg Config) (*Server, error) {
 		started: time.Now(),
 	}
 	s.index.SetBuildLimit(cfg.MaxConcurrentBuilds)
-	// Memoize CELF orderings deep enough to answer any k the API admits;
-	// every solve then routes selection through the order memo.
-	s.index.SetMaxOrderK(cfg.MaxK)
 	graphsDir := ""
 	if cfg.StateDir != "" {
 		graphsDir = stateGraphsDir(cfg.StateDir)

@@ -48,10 +48,7 @@ import (
 //	<prefix>/MANIFEST.json      entry list in LRU order (MRU first); a
 //	                            published manifest also records its
 //	                            versioned GraphID
-//	<prefix>/<digest(key)>.rrs  one rrset.Snapshot per resident collection,
-//	                            plus its memoized seed ordering when present
-//	                            (an optional, checksummed trailing section;
-//	                            files without it still load)
+//	<prefix>/<digest(key)>.rrs  one rrset.Snapshot per resident collection
 //
 // One writer (saveEntries) and one reader (loadEntries) serve both scopes.
 // Every object is written atomically (SnapshotStore.Put), entry objects
@@ -167,11 +164,6 @@ type manifestEntry struct {
 	File    string `json:"file"`
 	GraphID string `json:"graphID"`
 	Bytes   int64  `json:"bytes"`
-	// HasOrder records whether the entry object carries the optional
-	// seed-order section. saveEntries' reuse rule consults it: an object
-	// written before the entry's ordering was memoized is rewritten once to
-	// include it, then reused again.
-	HasOrder bool `json:"hasOrder,omitempty"`
 }
 
 // SaveSnapshot persists every resident collection whose cache key names a
@@ -248,11 +240,11 @@ func sweepTempFiles(dir string) {
 // graph-keyed entry) to store under prefix and returns how many entries
 // the new manifest lists. The manifest is written even when it lists
 // none. An entry object is reused, not rewritten, when the previous
-// manifest lists it with sections covering the resident entry's and the
-// store still holds it; every other listed entry is written before the
-// manifest. Only then are the .rrs objects the new manifest does not list
-// pruned, so a failure at any step leaves the previous manifest and every
-// object it lists intact. Called with snapMu held.
+// manifest lists it and the store still holds it; every other listed
+// entry is written before the manifest. Only then are the .rrs objects
+// the new manifest does not list pruned, so a failure at any step leaves
+// the previous manifest and every object it lists intact. Called with
+// snapMu held.
 func (x *Index) saveEntries(store SnapshotStore, prefix, graphID string) (int, error) {
 	// Copy the scope's entries under the lock; collections are immutable,
 	// so the (possibly slow) writes below need no lock.
@@ -273,10 +265,10 @@ func (x *Index) saveEntries(store SnapshotStore, prefix, graphID string) (int, e
 	for _, obj := range stored {
 		have[obj] = true
 	}
-	prev := map[string]manifestEntry{}
+	prev := map[string]bool{}
 	if old, ok, _ := readManifest(store, prefix, graphID); ok {
 		for _, me := range old.Entries {
-			prev[me.File] = me
+			prev[me.File] = true
 		}
 	}
 
@@ -289,14 +281,9 @@ func (x *Index) saveEntries(store SnapshotStore, prefix, graphID string) (int, e
 			continue // digest collision between live keys: keep the hotter entry
 		}
 		keep[obj] = true
-		me := manifestEntry{File: name, GraphID: e.graphID, Bytes: e.bytes, HasOrder: e.order != nil}
-		if p, ok := prev[name]; ok && have[obj] && (p.HasOrder || !me.HasOrder) {
-			// The object may carry an order the entry has not (re)computed
-			// yet.
-			me.HasOrder = p.HasOrder
-		} else {
+		if !prev[name] || !have[obj] {
 			snap := &rrset.Snapshot{Key: e.key, GraphID: e.graphID, GraphN: e.graph.N(), GraphM: e.graph.M(),
-				Collection: e.col, Order: e.order}
+				Collection: e.col}
 			if err := store.Put(obj, func(w io.Writer) error {
 				_, err := snap.WriteTo(w)
 				return err
@@ -304,7 +291,7 @@ func (x *Index) saveEntries(store SnapshotStore, prefix, graphID string) (int, e
 				return 0, err
 			}
 		}
-		man.Entries = append(man.Entries, me)
+		man.Entries = append(man.Entries, manifestEntry{File: name, GraphID: e.graphID, Bytes: e.bytes})
 	}
 	if err := store.Put(objectName(prefix, manifestName), func(w io.Writer) error {
 		enc := json.NewEncoder(w)
@@ -403,20 +390,16 @@ func (x *Index) loadEntries(store SnapshotStore, prefix, graphID string, graphs 
 			continue
 		}
 		e := &indexEntry{key: snap.Key, graphID: me.GraphID, col: snap.Collection, graph: g,
-			bytes: snap.Collection.Bytes(), order: snap.Order}
-		if snap.Order != nil {
-			e.orderBytes = snap.Order.Bytes()
-		}
-		if x.maxBytes > 0 && acceptedBytes+e.bytes+e.orderBytes > x.maxBytes {
+			bytes: snap.Collection.Bytes()}
+		if x.maxBytes > 0 && acceptedBytes+e.bytes > x.maxBytes {
 			// The restored set is always the most-recently-used prefix:
 			// once an entry exceeds the budget, nothing colder is admitted
-			// either, exactly as if the rest had been evicted. The memoized
-			// order counts too — it is resident memory like the arena.
+			// either, exactly as if the rest had been evicted.
 			budgetFull = true
 			rejects++
 			continue
 		}
-		acceptedBytes += e.bytes + e.orderBytes
+		acceptedBytes += e.bytes
 		accepted = append(accepted, e)
 	}
 
@@ -429,8 +412,7 @@ func (x *Index) loadEntries(store SnapshotStore, prefix, graphID string, graphs 
 			continue // a racing build landed while we read the store
 		}
 		x.entries[e.key] = x.lru.PushFront(e)
-		x.bytes += e.bytes + e.orderBytes
-		x.orderBytes += e.orderBytes
+		x.bytes += e.bytes
 		restored++
 	}
 	x.evictOverBudgetLocked()

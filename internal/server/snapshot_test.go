@@ -180,8 +180,9 @@ func TestIndexSnapshotRoundTrip(t *testing.T) {
 		t.Fatalf("after restored queries: hits %d misses %d, want 2/0", st.Hits, st.Misses)
 	}
 
-	// Older writers recorded hasPostings and the originating request on
-	// every manifest entry. Such a manifest still restores every entry.
+	// Older writers recorded hasOrder, hasPostings and the originating
+	// request on every manifest entry. Such a manifest still restores every
+	// entry.
 	manPath := filepath.Join(dir, "MANIFEST.json")
 	raw, rerr := os.ReadFile(manPath)
 	if rerr != nil {
@@ -193,6 +194,7 @@ func TestIndexSnapshotRoundTrip(t *testing.T) {
 	}
 	for _, me := range man["entries"].([]any) {
 		me := me.(map[string]any)
+		me["hasOrder"] = true
 		me["hasPostings"] = true
 		me["request"] = map[string]any{"kind": "ic", "gap": map[string]any{"qa0": 0, "qab": 0, "qb0": 0, "qba": 0},
 			"k": 5, "fixedTheta": 300, "seed": 42}

@@ -317,11 +317,9 @@ func (c Config) compGreedyObjective(est *montecarlo.Estimator, seedsA []int32) f
 
 // selectSeeds resolves one exact or bound subproblem's RR-set collection
 // through the configured provider (or a direct build when none is set) and
-// selects the top-K seeds, routing through the provider's memoized seed
-// ordering when it keeps one (rrset.SeedSelector). The seeds are identical
-// either way.
+// selects the top-K seeds over it.
 func (c Config) selectSeeds(g *graph.Graph, kind rrset.Kind, gap core.GAP, opposite []int32, seed uint64) ([]int32, *rrset.Stats, error) {
-	return rrset.ObtainSeeds(c.Collections, rrset.CollectionRequest{
+	col, err := rrset.Obtain(c.Collections, rrset.CollectionRequest{
 		GraphID:  c.GraphID,
 		Graph:    g,
 		Kind:     kind,
@@ -330,7 +328,12 @@ func (c Config) selectSeeds(g *graph.Graph, kind rrset.Kind, gap core.GAP, oppos
 		K:        c.K,
 		Opts:     c.TIM,
 		Seed:     seed,
-	}, g.N(), c.K)
+	})
+	if err != nil {
+		return nil, nil, err
+	}
+	seeds, st := rrset.SelectSeeds(col, g.N(), c.K)
+	return seeds, st, nil
 }
 
 // admit validates a request and refuses a plan whose algorithm is
