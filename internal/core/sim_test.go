@@ -1,6 +1,9 @@
 package core_test
 
 import (
+	"encoding/binary"
+	"hash"
+	"hash/fnv"
 	"math"
 	"sort"
 	"testing"
@@ -812,6 +815,130 @@ func TestWorldEquivalence(t *testing.T) {
 	w2.EdgeLive[0] = !w2.EdgeLive[0]
 	if w1.EquivalentUnder(w2, gap) {
 		t.Fatal("edge-flipped world reported equivalent")
+	}
+}
+
+// goldenDigest folds simulator outputs into an FNV-64a hash.
+type goldenDigest struct {
+	h   hash.Hash64
+	buf []byte
+}
+
+func (d *goldenDigest) int(x int64) {
+	d.buf = binary.LittleEndian.AppendUint64(d.buf[:0], uint64(x))
+	d.h.Write(d.buf)
+}
+
+func (d *goldenDigest) int32s(xs []int32) {
+	d.int(int64(len(xs)))
+	for _, x := range xs {
+		d.int(int64(x))
+	}
+}
+
+func (d *goldenDigest) states(xs []core.State) {
+	d.int(int64(len(xs)))
+	for _, x := range xs {
+		d.int(int64(x))
+	}
+}
+
+// run folds one run's counts and adoption lists, in adoption order.
+func (d *goldenDigest) run(sim *core.Simulator, ca, cb int) {
+	d.int(int64(ca))
+	d.int(int64(cb))
+	d.int32s(sim.AdoptedA())
+	d.int32s(sim.AdoptedB())
+}
+
+// trace folds every field of tr.
+func (d *goldenDigest) trace(tr *core.Trace) {
+	d.states(tr.StateA)
+	d.states(tr.StateB)
+	for _, xs := range [][]int32{
+		tr.InformTimeA, tr.AdoptTimeA, tr.InformTimeB, tr.AdoptTimeB,
+		tr.AdoptSeqA, tr.AdoptSeqB,
+		tr.InformEvA, tr.AdoptEvA, tr.InformEvB, tr.AdoptEvB,
+	} {
+		d.int32s(xs)
+	}
+	d.int(int64(tr.CountA))
+	d.int(int64(tr.CountB))
+}
+
+// TestSimulatorGolden pins the exact output of the diffusion kernel: the
+// counts and adoption order of 300 lazy runs and (where the row allows
+// world mode) 300 world runs, plus every field of one traced run, folded
+// into one FNV-64a digest per row. Rows cover each GAP regime, both
+// extensions, and dual and duplicate seeds. A refactor of the kernel must
+// draw the same random numbers in the same order and process informs in the
+// same order, so these digests must not move; a change that moves them is
+// a re-baseline and must say so.
+func TestSimulatorGolden(t *testing.T) {
+	g := graph.PowerLaw(300, 8, 2.16, true, rng.New(11))
+	graph.AssignWeightedCascade(g)
+	qplus := core.GAP{QA0: 0.3, QAB: 0.8, QB0: 0.4, QBA: 0.9}
+	pA := make([]float64, g.M())
+	pB := make([]float64, g.M())
+	for eid := range pA {
+		pA[eid] = g.Prob(int32(eid))
+		pB[eid] = 1 - g.Prob(int32(eid))/2
+	}
+	gaps := []core.GAP{
+		qplus,
+		{QA0: 0.8, QAB: 0.2, QB0: 0.7, QBA: 0.3},
+		{QA0: 0.3, QAB: 0.9, QB0: 0.5, QBA: 0.5},
+		{QA0: 0.6, QAB: 0.6, QB0: 0.4, QBA: 0.4},
+	}
+	nodeGAPs := make([]core.GAP, g.N())
+	for v := range nodeGAPs {
+		nodeGAPs[v] = gaps[v%len(gaps)]
+	}
+	seedsA, seedsB := []int32{0, 3, 5, 40}, []int32{1, 2, 7, 90}
+	rows := []struct {
+		name           string
+		gap            core.GAP
+		seedsA, seedsB []int32
+		itemProbs      bool
+		nodeGAPs       bool
+		want           uint64
+	}{
+		{name: "Q+", gap: gaps[0], seedsA: seedsA, seedsB: seedsB, want: 0x830e3c9890db4114},
+		{name: "competition", gap: gaps[1], seedsA: seedsA, seedsB: seedsB, want: 0x40205d2461391130},
+		{name: "one-way", gap: gaps[2], seedsA: seedsA, seedsB: seedsB, want: 0x9bc6eb33894fdd71},
+		{name: "indifferent", gap: gaps[3], seedsA: seedsA, seedsB: seedsB, want: 0x6e7ba2681b1ab252},
+		{name: "item probs (lazy)", gap: qplus, seedsA: seedsA, seedsB: seedsB, itemProbs: true, want: 0xac8956dbd833aa0e},
+		{name: "node GAPs (lazy)", gap: qplus, seedsA: seedsA, seedsB: seedsB, nodeGAPs: true, want: 0x92c9aa8648a175dc},
+		{name: "dual and duplicate seeds", gap: qplus,
+			seedsA: []int32{0, 4, 4, 9, 1, 0}, seedsB: []int32{9, 1, 1, 6, 4}, want: 0x2d716b94af5fe316},
+	}
+	const runs = 300
+	for ri, row := range rows {
+		sim := core.NewSimulator(g, row.gap)
+		if row.itemProbs {
+			sim.SetItemProbs(pA, pB)
+		}
+		if row.nodeGAPs {
+			sim.SetNodeGAPs(nodeGAPs)
+		}
+		d := goldenDigest{h: fnv.New64a()}
+		seed := uint64(100 + ri)
+		for i := 0; i < runs; i++ {
+			ca, cb := sim.Run(row.seedsA, row.seedsB, rng.NewStream(seed, uint64(i)))
+			d.run(sim, ca, cb)
+		}
+		if !row.itemProbs && !row.nodeGAPs {
+			for i := 0; i < runs; i++ {
+				sim.SetWorld(core.SampleWorld(g, rng.NewStream(seed+1000, uint64(i))))
+				ca, cb := sim.Run(row.seedsA, row.seedsB, nil)
+				d.run(sim, ca, cb)
+			}
+			sim.SetWorld(nil)
+		}
+		d.trace(sim.RunTrace(row.seedsA, row.seedsB, rng.NewStream(seed, runs)))
+		if got := d.h.Sum64(); got != row.want {
+			t.Errorf("%s: digest %#x, want %#x", row.name, got, row.want)
+		}
 	}
 }
 

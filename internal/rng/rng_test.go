@@ -249,6 +249,85 @@ func TestExpMean(t *testing.T) {
 	}
 }
 
+// TestGoldenOutputs pins the literal first eight draws of each drawing
+// method, from a seeded generator and from a derived stream. Every
+// simulation, possible world and RR set in the library is a function of
+// these draws, so a change in how the generator steps or mixes its state
+// fails here first, not as a moved estimate somewhere downstream.
+func TestGoldenOutputs(t *testing.T) {
+	sources := []struct {
+		name      string
+		make      func() *RNG
+		uint64s   [8]uint64
+		float64s  [8]float64
+		intns     [8]int
+		bernoulli [8]bool
+	}{
+		{
+			name: "New(42)",
+			make: func() *RNG { return New(42) },
+			uint64s: [8]uint64{
+				0x30432d4f88c12409, 0xb634a3bd46971ecd, 0x7c2f8ae0bbe32c8b, 0xf9d4ca66056152e7,
+				0xc7751faff1f01ce9, 0x9d69b34511e6a79c, 0xb7b56fbe8e306650, 0x290f591ef4bc22a7,
+			},
+			float64s: [8]float64{
+				0.18852503959420064, 0.7117407166575415, 0.4851004408518632, 0.9759031771731135,
+				0.7791309170297044, 0.6148941081645725, 0.717612251303025, 0.16039044385682688,
+			},
+			intns:     [8]int{188, 711, 485, 975, 779, 614, 717, 160},
+			bernoulli: [8]bool{true, false, false, false, false, false, false, true},
+		},
+		{
+			name: "NewStream(3, 9)",
+			make: func() *RNG { return NewStream(3, 9) },
+			uint64s: [8]uint64{
+				0x2b36c25b03961d00, 0x43bc203dc30d8a4e, 0x4fa859d3d1c1c74b, 0x6f6c155ece786ace,
+				0xf56c70dccf31abbe, 0x903d416d2cab4af0, 0x5a4aae8a67026d32, 0xa2e02f8d56002946,
+			},
+			float64s: [8]float64{
+				0.16880430910131172, 0.2645893240724516, 0.31116258069392355, 0.43524297299015446,
+				0.9586859263501483, 0.5634346858538893, 0.35270205382313125, 0.6362333030756423,
+			},
+			intns:     [8]int{168, 264, 311, 435, 958, 563, 352, 636},
+			bernoulli: [8]bool{true, true, false, false, false, false, false, false},
+		},
+	}
+	for _, src := range sources {
+		var u [8]uint64
+		var f [8]float64
+		var n [8]int
+		var b [8]bool
+		r := src.make()
+		for i := range u {
+			u[i] = r.Uint64()
+		}
+		r = src.make()
+		for i := range f {
+			f[i] = r.Float64()
+		}
+		r = src.make()
+		for i := range n {
+			n[i] = r.Intn(1000)
+		}
+		r = src.make()
+		for i := range b {
+			b[i] = r.Bernoulli(0.3)
+		}
+		if u != src.uint64s {
+			t.Errorf("%s: Uint64 draws %#v, want %#v", src.name, u, src.uint64s)
+		}
+		if f != src.float64s {
+			t.Errorf("%s: Float64 draws %#v, want %#v", src.name, f, src.float64s)
+		}
+		if n != src.intns {
+			t.Errorf("%s: Intn(1000) draws %#v, want %#v", src.name, n, src.intns)
+		}
+		if b != src.bernoulli {
+			t.Errorf("%s: Bernoulli(0.3) draws %#v, want %#v", src.name, b, src.bernoulli)
+		}
+	}
+}
+
 // Property: any seed yields a generator whose first 8 draws are reproducible.
 func TestQuickSeedReproducible(t *testing.T) {
 	f := func(seed uint64) bool {
