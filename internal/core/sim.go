@@ -52,6 +52,7 @@ type Simulator struct {
 
 	cur, next []adoptEvent
 	informs   []informEntry
+	order     []uint64 // target<<32 | index into informs
 
 	adoptedA, adoptedB []int32
 	seqCounter         int32
@@ -119,11 +120,20 @@ func (s *Simulator) SetGAP(gap GAP) {
 }
 
 // SetWorld switches the simulator to deterministic world mode (nil reverts
-// to lazy mode). World mode is incompatible with per-item edge
-// probabilities.
+// to lazy mode). The world must have been sampled for the simulator's
+// graph. World mode is incompatible with per-item edge probabilities.
 func (s *Simulator) SetWorld(w *World) {
-	if w != nil && s.probA != nil {
-		panic("core: world mode is incompatible with per-item edge probabilities")
+	if w != nil {
+		if s.probA != nil {
+			panic("core: world mode is incompatible with per-item edge probabilities")
+		}
+		n, m := s.g.N(), s.g.M()
+		if len(w.EdgeLive) != m || len(w.EdgeRank) != m ||
+			len(w.AlphaA) != n || len(w.AlphaB) != n || len(w.SeedFirst) != n {
+			panic(fmt.Sprintf("core: world was not sampled for this graph (%d edges, %d nodes): "+
+				"EdgeLive/EdgeRank have %d/%d entries, AlphaA/AlphaB/SeedFirst have %d/%d/%d",
+				m, n, len(w.EdgeLive), len(w.EdgeRank), len(w.AlphaA), len(w.AlphaB), len(w.SeedFirst)))
+		}
 	}
 	s.world = w
 }
@@ -408,8 +418,8 @@ func (s *Simulator) propagateStep() {
 
 	// Group the previous step's adoptions by node so that a node that
 	// adopted both items shares one tie-break rank per out-edge and informs
-	// in its own adoption order. Both sorts here order distinct entries
-	// totally, so their results do not depend on the sort algorithm.
+	// in its own adoption order. Every sort here orders distinct entries
+	// totally, so its result does not depend on the sort algorithm.
 	slices.SortFunc(s.cur, func(a, b adoptEvent) int {
 		if a.node != b.node {
 			return cmp.Compare(a.node, b.node)
@@ -440,25 +450,42 @@ func (s *Simulator) propagateStep() {
 
 	// Tie-breaking (Figure 2, step 2): within each target, informing
 	// in-neighbors are ordered by rank (a uniform permutation); a neighbor
-	// that adopted both items informs both in its adoption order.
-	slices.SortFunc(s.informs, func(a, b informEntry) int {
-		if a.target != b.target {
-			return cmp.Compare(a.target, b.target)
-		}
-		if a.rank != b.rank {
-			if a.rank < b.rank {
-				return -1
-			}
-			return 1
-		}
-		if a.src != b.src {
-			return cmp.Compare(a.src, b.src)
-		}
-		return cmp.Compare(a.srcSeq, b.srcSeq)
-	})
+	// that adopted both items informs both in its adoption order. Informs
+	// are ordered by (target, rank, src, srcSeq): one integer sort of
+	// target<<32 | index groups them by target, and only runs of equal
+	// target are then sorted by (rank, src, srcSeq).
+	order := s.order[:0]
 	for i := range s.informs {
-		s.processInform(s.informs[i].target, s.informs[i].item)
+		order = append(order, uint64(s.informs[i].target)<<32|uint64(i))
 	}
+	slices.Sort(order)
+	informs := s.informs
+	for i := 0; i < len(order); {
+		j := i + 1
+		for j < len(order) && order[j]>>32 == order[i]>>32 {
+			j++
+		}
+		if j-i > 1 {
+			slices.SortFunc(order[i:j], func(x, y uint64) int {
+				a, b := &informs[uint32(x)], &informs[uint32(y)]
+				if a.rank != b.rank {
+					if a.rank < b.rank {
+						return -1
+					}
+					return 1
+				}
+				if a.src != b.src {
+					return cmp.Compare(a.src, b.src)
+				}
+				return cmp.Compare(a.srcSeq, b.srcSeq)
+			})
+		}
+		for _, k := range order[i:j] {
+			s.processInform(informs[uint32(k)].target, informs[uint32(k)].item)
+		}
+		i = j
+	}
+	s.order = order
 }
 
 func (s *Simulator) edgeRank(eid int32) float64 {

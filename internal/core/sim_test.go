@@ -5,7 +5,9 @@ import (
 	"hash"
 	"hash/fnv"
 	"math"
+	"reflect"
 	"sort"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -781,6 +783,69 @@ func TestSetWorldItemProbsConflict(t *testing.T) {
 	sim.SetWorld(core.SampleWorld(g, rng.New(1)))
 }
 
+// TestSetWorldRejectsMismatchedWorld pins SetWorld's size check. A world
+// sampled for a larger graph would otherwise run silently on the wrong
+// draws, and one sampled for a smaller graph would fail deep inside Run
+// with a bare index-out-of-range error.
+func TestSetWorldRejectsMismatchedWorld(t *testing.T) {
+	g := graph.Path(5, 0.5)
+	sim := core.NewSimulator(g, core.GAP{QA0: 0.5, QAB: 0.5, QB0: 0.5, QBA: 0.5})
+	sim.SetWorld(core.SampleWorld(g, rng.New(1)))
+	mustReject := func(what string, w *core.World) {
+		t.Helper()
+		defer func() {
+			msg, _ := recover().(string)
+			if !strings.Contains(msg, "world was not sampled for this graph") {
+				t.Errorf("%s: SetWorld panic = %q, want a world/graph mismatch", what, msg)
+			}
+		}()
+		sim.SetWorld(w)
+	}
+	mustReject("larger graph", core.SampleWorld(graph.Path(8, 0.5), rng.New(2)))
+	mustReject("smaller graph", core.SampleWorld(graph.Path(3, 0.5), rng.New(3)))
+	for _, short := range []struct {
+		field string
+		cut   func(w *core.World)
+	}{
+		{"EdgeLive", func(w *core.World) { w.EdgeLive = w.EdgeLive[:1] }},
+		{"EdgeRank", func(w *core.World) { w.EdgeRank = w.EdgeRank[:1] }},
+		{"AlphaA", func(w *core.World) { w.AlphaA = w.AlphaA[:1] }},
+		{"AlphaB", func(w *core.World) { w.AlphaB = w.AlphaB[:1] }},
+		{"SeedFirst", func(w *core.World) { w.SeedFirst = w.SeedFirst[:1] }},
+	} {
+		w := core.SampleWorld(g, rng.New(4))
+		short.cut(w)
+		mustReject("short "+short.field, w)
+	}
+}
+
+// TestWorldResampleMatchesSampleWorld pins Resample to SampleWorld: a world
+// redrawn in place, after it was last used for a larger graph and after it
+// was last used for a smaller one, must equal a fresh SampleWorld field for
+// field and leave the RNG where SampleWorld leaves it.
+func TestWorldResampleMatchesSampleWorld(t *testing.T) {
+	small := graph.PowerLaw(40, 4, 2.16, true, rng.New(1))
+	mid := graph.PowerLaw(120, 6, 2.16, true, rng.New(2))
+	large := graph.PowerLaw(300, 8, 2.16, true, rng.New(3))
+	for _, g := range []*graph.Graph{small, mid, large} {
+		graph.AssignWeightedCascade(g)
+	}
+	w := core.SampleWorld(large, rng.New(4))
+	for step, g := range []*graph.Graph{mid, small, mid, large} {
+		seed := uint64(10 + step)
+		r := rng.New(seed)
+		w.Resample(g, r)
+		fresh := rng.New(seed)
+		want := core.SampleWorld(g, fresh)
+		if !reflect.DeepEqual(w, want) {
+			t.Fatalf("step %d (n=%d): resampled world differs from SampleWorld", step, g.N())
+		}
+		if got, next := r.Uint64(), fresh.Uint64(); got != next {
+			t.Fatalf("step %d (n=%d): next draw after Resample %#x, after SampleWorld %#x", step, g.N(), got, next)
+		}
+	}
+}
+
 func TestLazyRunRequiresRNG(t *testing.T) {
 	g := graph.Path(2, 1)
 	sim := core.NewSimulator(g, core.GAP{})
@@ -949,9 +1014,12 @@ func BenchmarkDiffusionLazy(b *testing.B) {
 	sim := core.NewSimulator(g, gap)
 	seedsA := []int32{0, 1, 2, 3, 4}
 	seedsB := []int32{5, 6, 7, 8, 9}
+	r := new(rng.RNG)
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		sim.Run(seedsA, seedsB, rng.NewStream(9, uint64(i)))
+		r.ReseedStream(9, uint64(i))
+		sim.Run(seedsA, seedsB, r)
 	}
 }
 
@@ -964,6 +1032,7 @@ func BenchmarkDiffusionWorld(b *testing.B) {
 	sim.SetWorld(w)
 	seedsA := []int32{0, 1, 2, 3, 4}
 	seedsB := []int32{5, 6, 7, 8, 9}
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		sim.Run(seedsA, seedsB, nil)

@@ -29,14 +29,21 @@ type World struct {
 
 // SampleWorld draws a complete possible world for g.
 func SampleWorld(g *graph.Graph, r *rng.RNG) *World {
+	w := &World{}
+	w.Resample(g, r)
+	return w
+}
+
+// Resample redraws w in place as a complete possible world for g, reusing
+// its slices when they are large enough. It draws exactly what SampleWorld
+// draws, in the same order, so w ends up equal to SampleWorld(g, r).
+func (w *World) Resample(g *graph.Graph, r *rng.RNG) {
 	n, m := g.N(), g.M()
-	w := &World{
-		EdgeLive:  make([]bool, m),
-		AlphaA:    make([]float64, n),
-		AlphaB:    make([]float64, n),
-		EdgeRank:  make([]float64, m),
-		SeedFirst: make([]Item, n),
-	}
+	w.EdgeLive = resize(w.EdgeLive, m)
+	w.EdgeRank = resize(w.EdgeRank, m)
+	w.AlphaA = resize(w.AlphaA, n)
+	w.AlphaB = resize(w.AlphaB, n)
+	w.SeedFirst = resize(w.SeedFirst, n)
 	for eid := 0; eid < m; eid++ {
 		w.EdgeLive[eid] = r.Bernoulli(g.Prob(int32(eid)))
 		w.EdgeRank[eid] = r.Float64()
@@ -50,7 +57,15 @@ func SampleWorld(g *graph.Graph, r *rng.RNG) *World {
 			w.SeedFirst[v] = B
 		}
 	}
-	return w
+}
+
+// resize returns s with length n, reallocating only when its capacity is
+// short. Callers overwrite every element.
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
 }
 
 // AlphaRange identifies which of the (at most three) equivalence-class

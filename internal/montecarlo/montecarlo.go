@@ -17,8 +17,10 @@ import (
 )
 
 // Estimator runs batches of Com-IC simulations for one (graph, GAP)
-// instance. It is safe for concurrent use by multiple goroutines only if
-// they do not share calls; each public method spawns its own workers.
+// instance. Its methods never mutate the Estimator, so concurrent calls are
+// safe: each call spawns its own workers, and each worker reuses one
+// simulator, one RNG (reseeded to stream i for run i) and, for the paired
+// estimators, one possible world (resampled in place) across its runs.
 type Estimator struct {
 	g   *graph.Graph
 	gap core.GAP
@@ -137,9 +139,11 @@ func (e *Estimator) Estimate(seedsA, seedsB []int32, runs int, seed uint64) Resu
 		go func(wi int) {
 			defer wg.Done()
 			sim := core.NewSimulator(e.g, e.gap)
+			r := new(rng.RNG)
 			a := &accs[wi]
 			for i := wi; i < runs; i += w {
-				ca, cb := sim.Run(seedsA, seedsB, rng.NewStream(seed, uint64(i)))
+				r.ReseedStream(seed, uint64(i))
+				ca, cb := sim.Run(seedsA, seedsB, r)
 				a.a.add(float64(ca))
 				a.b.add(float64(cb))
 			}
@@ -206,9 +210,12 @@ func (e *Estimator) PairedBaselineA(seedsA []int32, runs int, seed uint64) []int
 		go func(wi int) {
 			defer wg.Done()
 			sim := core.NewSimulator(e.g, e.gap)
+			r := new(rng.RNG)
+			var world core.World
 			for i := wi; i < runs; i += w {
-				world := core.SampleWorld(e.g, rng.NewStream(seed, uint64(i)))
-				sim.SetWorld(world)
+				r.ReseedStream(seed, uint64(i))
+				world.Resample(e.g, r)
+				sim.SetWorld(&world)
 				withoutB, _ := sim.Run(seedsA, nil, nil)
 				baseline[i] = int32(withoutB)
 			}
@@ -242,10 +249,13 @@ func (e *Estimator) boostPaired(seedsA, seedsB, baseline []int32, runs int, seed
 		go func(wi int) {
 			defer wg.Done()
 			sim := core.NewSimulator(e.g, e.gap)
+			r := new(rng.RNG)
+			var world core.World
 			a := &accs[wi]
 			for i := wi; i < runs; i += w {
-				world := core.SampleWorld(e.g, rng.NewStream(seed, uint64(i)))
-				sim.SetWorld(world)
+				r.ReseedStream(seed, uint64(i))
+				world.Resample(e.g, r)
+				sim.SetWorld(&world)
 				withB, _ := sim.Run(seedsA, seedsB, nil)
 				var withoutB int
 				if baseline != nil {

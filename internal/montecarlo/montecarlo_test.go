@@ -231,11 +231,39 @@ func TestEstimateStderrNonzeroWithLargeCounts(t *testing.T) {
 	}
 }
 
+// TestMonteCarloAllocsIndependentOfRuns pins that the estimators allocate
+// per call, not per run: each worker reuses one simulator, one RNG and one
+// possible world across its runs. Every edge is live and every GAP is 1, so
+// every run's cascade has the same size and the simulator's scratch grows
+// the same way at any run count.
+func TestMonteCarloAllocsIndependentOfRuns(t *testing.T) {
+	g := graph.PowerLaw(100, 4, 2.16, true, rng.New(5))
+	graph.AssignUniform(g, 1)
+	e := New(g, core.GAP{QA0: 1, QAB: 1, QB0: 1, QBA: 1})
+	e.Workers = 1
+	sa, sb := []int32{0, 1}, []int32{2}
+	for _, est := range []struct {
+		name string
+		call func(runs int)
+	}{
+		{"Estimate", func(runs int) { e.Estimate(sa, sb, runs, 7) }},
+		{"BoostPaired", func(runs int) { e.BoostPaired(sa, sb, runs, 7) }},
+		{"PairedBaselineA", func(runs int) { e.PairedBaselineA(sa, runs, 7) }},
+	} {
+		few := testing.AllocsPerRun(3, func() { est.call(64) })
+		many := testing.AllocsPerRun(3, func() { est.call(512) })
+		if few != many {
+			t.Errorf("%s: %v allocations at 64 runs, %v at 512", est.name, few, many)
+		}
+	}
+}
+
 func BenchmarkEstimate10K(b *testing.B) {
 	g := graph.PowerLaw(2000, 8, 2.16, true, rng.New(1))
 	graph.AssignWeightedCascade(g)
 	e := New(g, testGAP)
 	sa, sb := []int32{0, 1, 2, 3, 4}, []int32{5, 6, 7}
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		e.Estimate(sa, sb, 10000, uint64(i))
@@ -247,6 +275,7 @@ func BenchmarkBoostPaired(b *testing.B) {
 	graph.AssignWeightedCascade(g)
 	e := New(g, testGAP)
 	sa, sb := []int32{0, 1, 2, 3, 4}, []int32{5, 6, 7}
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		e.BoostPaired(sa, sb, 1000, uint64(i))

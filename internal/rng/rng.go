@@ -10,7 +10,10 @@
 // interleaving.
 package rng
 
-import "math"
+import (
+	"math"
+	"math/bits"
+)
 
 // RNG is a PCG-XSH-RR 64/32-inspired generator with a 64-bit state and a
 // 64-bit odd increment selecting the stream. The zero value is NOT usable;
@@ -72,24 +75,28 @@ func (r *RNG) ReseedStream(seed, i uint64) {
 	r.Reseed(splitMix64(seed) ^ splitMix64(i*0x9e3779b97f4a7c15+1))
 }
 
-// Uint64 returns the next 64 pseudo-random bits.
+// Uint64 returns the next 64 pseudo-random bits: two rounds of
+// PCG-XSH-RR 64/32 glued together, the first round's output high. It
+// advances the state twice with one load and one store, which keeps it
+// (and Float64) within the compiler's inlining budget.
 func (r *RNG) Uint64() uint64 {
-	// Two rounds of PCG-XSH-RR 64/32 glued together.
-	hi := uint64(r.next32())
-	lo := uint64(r.next32())
-	return hi<<32 | lo
-}
-
-func (r *RNG) next32() uint32 {
-	old := r.state
-	r.state = old*pcgMult + r.inc
-	xorshifted := uint32(((old >> 18) ^ old) >> 27)
-	rot := uint32(old >> 59)
-	return (xorshifted >> rot) | (xorshifted << ((-rot) & 31))
+	s0 := r.state
+	s1 := s0*pcgMult + r.inc
+	r.state = s1*pcgMult + r.inc
+	return uint64(xshrr(s0))<<32 | uint64(xshrr(s1))
 }
 
 // Uint32 returns the next 32 pseudo-random bits.
-func (r *RNG) Uint32() uint32 { return r.next32() }
+func (r *RNG) Uint32() uint32 {
+	old := r.state
+	r.state = old*pcgMult + r.inc
+	return xshrr(old)
+}
+
+// xshrr is PCG's XSH-RR output permutation of one state.
+func xshrr(old uint64) uint32 {
+	return bits.RotateLeft32(uint32(((old>>18)^old)>>27), -int(old>>59))
+}
 
 // Float64 returns a uniform value in [0, 1).
 func (r *RNG) Float64() float64 {
@@ -113,20 +120,8 @@ func (r *RNG) Intn(n int) int {
 		panic("rng: Intn with non-positive n")
 	}
 	// Lemire's nearly-divisionless method on 64 bits.
-	v := r.Uint64()
-	hi, _ := mul64(v, uint64(n))
+	hi, _ := bits.Mul64(r.Uint64(), uint64(n))
 	return int(hi)
-}
-
-func mul64(a, b uint64) (hi, lo uint64) {
-	const mask = 1<<32 - 1
-	a0, a1 := a&mask, a>>32
-	b0, b1 := b&mask, b>>32
-	t := a1*b0 + (a0*b0)>>32
-	w1 := t&mask + a0*b1
-	hi = a1*b1 + t>>32 + w1>>32
-	lo = a * b
-	return
 }
 
 // Int31 returns a uniform int32 in [0, n).
