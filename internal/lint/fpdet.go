@@ -4,6 +4,7 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"strings"
 
 	"comic/internal/lint/analysis"
 )
@@ -24,16 +25,17 @@ seed regardless of worker count, so in critical packages this analyzer
 flags:
 
   - a compound assignment (+=, -=, *=, /=) to a float variable captured
-    from outside a goroutine body — the shared-accumulator antipattern,
-    with or without a lock around it;
+    from outside a goroutine body, or outside the worker function passed
+    to rng.Streams — the shared-accumulator antipattern, with or without
+    a lock around it;
   - float accumulation inside a range over a channel — the receive order
     is whatever the scheduler produced.
 
 The blessed idiom (see internal/montecarlo) gives each worker its own
 accumulator slot, indexed by worker id, and merges the slots sequentially
-after Wait in slot order; writes through an index expression are therefore
-exempt. An accumulation that is genuinely order-insensitive (or reduced
-with a compensated scheme elsewhere) is annotated in place:
+in slot order once the workers finish; writes through an index expression
+are therefore exempt. An accumulation that is genuinely order-insensitive
+(or reduced with a compensated scheme elsewhere) is annotated in place:
 
 	//comic:allow fpdet <reason>`,
 	Run: runFpdet,
@@ -54,6 +56,10 @@ func runFpdet(pass *analysis.Pass) (interface{}, error) {
 				if lit, ok := n.Call.Fun.(*ast.FuncLit); ok {
 					checkGoroutineAccum(pass, dirs, lit)
 				}
+			case *ast.CallExpr:
+				if lit := streamsWorker(pass.TypesInfo, n); lit != nil {
+					checkGoroutineAccum(pass, dirs, lit)
+				}
 			case *ast.RangeStmt:
 				if t := pass.TypesInfo.TypeOf(n.X); t != nil {
 					if _, ok := t.Underlying().(*types.Chan); ok {
@@ -65,6 +71,21 @@ func runFpdet(pass *analysis.Pass) (interface{}, error) {
 		})
 	}
 	return nil, nil
+}
+
+// streamsWorker returns the newWorker literal passed to rng.Streams, or nil
+// for any other call. Each worker's functions run on a goroutine of their
+// own, so the literal is checked like a goroutine body.
+func streamsWorker(info *types.Info, call *ast.CallExpr) *ast.FuncLit {
+	fn := typeutilCallee(info, call)
+	if fn == nil || fn.Name() != "Streams" || fn.Pkg() == nil || len(call.Args) == 0 {
+		return nil
+	}
+	if p := fn.Pkg().Path(); p != "internal/rng" && !strings.HasSuffix(p, "/internal/rng") {
+		return nil
+	}
+	lit, _ := call.Args[len(call.Args)-1].(*ast.FuncLit)
+	return lit
 }
 
 // checkGoroutineAccum flags float compound assignments inside the goroutine

@@ -2,7 +2,11 @@
 // accumulation is flagged unless it follows the pinned-merge-order idiom.
 package montecarlo
 
-import "sync"
+import (
+	"sync"
+
+	"fpdet/internal/rng"
+)
 
 // Bad accumulates into a captured float from worker goroutines. The mutex
 // makes it race-free but not order-free: float addition does not commute.
@@ -46,6 +50,36 @@ func Good(samples [][]float64) float64 {
 		}()
 	}
 	wg.Wait()
+	var sum float64
+	for _, a := range accs {
+		sum += a
+	}
+	return sum
+}
+
+// BadStreams accumulates into a captured float from rng.Streams workers,
+// which run on goroutines just as Bad's do.
+func BadStreams(xs []float64) float64 {
+	var sum float64
+	rng.Streams(2, 0, len(xs), 1, func(int) func(int, *rng.RNG) {
+		return func(i int, _ *rng.RNG) {
+			sum += xs[i] // want `floating-point accumulation into sum inside a goroutine: the merge order is schedule-dependent even under a lock; use per-worker accumulators merged in pinned order \(see internal/montecarlo\) or annotate with //comic:allow fpdet <reason>`
+		}
+	})
+	return sum
+}
+
+// GoodStreams gives each rng.Streams worker its own accumulator, declared
+// in the worker function, and merges the slots in worker order.
+func GoodStreams(xs []float64) float64 {
+	accs := make([]float64, 2)
+	rng.Streams(2, 0, len(xs), 1, func(w int) func(int, *rng.RNG) {
+		var local float64
+		return func(i int, _ *rng.RNG) {
+			local += xs[i]
+			accs[w] = local
+		}
+	})
 	var sum float64
 	for _, a := range accs {
 		sum += a

@@ -1,15 +1,14 @@
 // Package montecarlo estimates Com-IC influence spreads by parallel
 // Monte-Carlo simulation. The paper evaluates all seed sets with 10K-run
 // Monte-Carlo estimates (§7.3); this package reproduces that evaluator with
-// worker-pool parallelism whose results are bit-for-bit independent of the
-// number of workers: run i always draws from stream i of the master seed,
-// and workers are assigned runs by striding.
+// results that are bit-for-bit independent of the number of workers: every
+// batch of runs goes through rng.Streams, so run i always draws from stream
+// i of the master seed, and each worker's exact accumulator is merged in
+// worker order.
 package montecarlo
 
 import (
 	"math"
-	"runtime"
-	"sync"
 
 	"comic/internal/core"
 	"comic/internal/graph"
@@ -18,9 +17,10 @@ import (
 
 // Estimator runs batches of Com-IC simulations for one (graph, GAP)
 // instance. Its methods never mutate the Estimator, so concurrent calls are
-// safe: each call spawns its own workers, and each worker reuses one
-// simulator, one RNG (reseeded to stream i for run i) and, for the paired
-// estimators, one possible world (resampled in place) across its runs.
+// safe: each call runs its own rng.Streams workers, and each worker reuses
+// one simulator, one RNG (reseeded to stream i for run i) and, for the
+// paired estimators, one possible world (resampled in place) across its
+// runs.
 type Estimator struct {
 	g   *graph.Graph
 	gap core.GAP
@@ -113,13 +113,6 @@ func (a *shiftedAcc) stderr() float64 {
 	return math.Sqrt(math.Max(v, 0) / n)
 }
 
-func (e *Estimator) workers() int {
-	if e.Workers > 0 {
-		return e.Workers
-	}
-	return runtime.GOMAXPROCS(0)
-}
-
 // Estimate runs `runs` independent simulations seeded from master seed and
 // returns spread statistics. Results are deterministic in (runs, seed) and
 // independent of worker count and scheduling.
@@ -127,29 +120,17 @@ func (e *Estimator) Estimate(seedsA, seedsB []int32, runs int, seed uint64) Resu
 	if runs <= 0 {
 		return Result{}
 	}
-	w := e.workers()
-	if w > runs {
-		w = runs
-	}
 	type acc struct{ a, b shiftedAcc }
-	accs := make([]acc, w)
-	var wg sync.WaitGroup
-	for wi := 0; wi < w; wi++ {
-		wg.Add(1)
-		go func(wi int) {
-			defer wg.Done()
-			sim := core.NewSimulator(e.g, e.gap)
-			r := new(rng.RNG)
-			a := &accs[wi]
-			for i := wi; i < runs; i += w {
-				r.ReseedStream(seed, uint64(i))
-				ca, cb := sim.Run(seedsA, seedsB, r)
-				a.a.add(float64(ca))
-				a.b.add(float64(cb))
-			}
-		}(wi)
-	}
-	wg.Wait()
+	accs := make([]acc, rng.Workers(e.Workers, runs))
+	rng.Streams(e.Workers, 0, runs, seed, func(w int) func(int, *rng.RNG) {
+		sim := core.NewSimulator(e.g, e.gap)
+		a := &accs[w]
+		return func(_ int, r *rng.RNG) {
+			ca, cb := sim.Run(seedsA, seedsB, r)
+			a.a.add(float64(ca))
+			a.b.add(float64(cb))
+		}
+	})
 	var tA, tB shiftedAcc
 	for _, a := range accs {
 		tA.merge(a.a)
@@ -199,30 +180,17 @@ func (e *Estimator) PairedBaselineA(seedsA []int32, runs int, seed uint64) []int
 	if runs <= 0 {
 		return nil
 	}
-	w := e.workers()
-	if w > runs {
-		w = runs
-	}
 	baseline := make([]int32, runs)
-	var wg sync.WaitGroup
-	for wi := 0; wi < w; wi++ {
-		wg.Add(1)
-		go func(wi int) {
-			defer wg.Done()
-			sim := core.NewSimulator(e.g, e.gap)
-			r := new(rng.RNG)
-			var world core.World
-			for i := wi; i < runs; i += w {
-				r.ReseedStream(seed, uint64(i))
-				world.Resample(e.g, r)
-				sim.SetWorld(&world)
-				withoutB, _ := sim.Run(seedsA, nil, nil)
-				baseline[i] = int32(withoutB)
-			}
-			sim.SetWorld(nil)
-		}(wi)
-	}
-	wg.Wait()
+	rng.Streams(e.Workers, 0, runs, seed, func(int) func(int, *rng.RNG) {
+		sim := core.NewSimulator(e.g, e.gap)
+		var world core.World
+		return func(i int, r *rng.RNG) {
+			world.Resample(e.g, r)
+			sim.SetWorld(&world)
+			withoutB, _ := sim.Run(seedsA, nil, nil)
+			baseline[i] = int32(withoutB)
+		}
+	})
 	return baseline
 }
 
@@ -235,40 +203,24 @@ func (e *Estimator) BoostPairedFromBaseline(seedsA, seedsB, baseline []int32, ru
 }
 
 func (e *Estimator) boostPaired(seedsA, seedsB, baseline []int32, runs int, seed uint64) (mean, stderr float64) {
-	if runs <= 0 {
-		return 0, 0
-	}
-	w := e.workers()
-	if w > runs {
-		w = runs
-	}
-	accs := make([]shiftedAcc, w)
-	var wg sync.WaitGroup
-	for wi := 0; wi < w; wi++ {
-		wg.Add(1)
-		go func(wi int) {
-			defer wg.Done()
-			sim := core.NewSimulator(e.g, e.gap)
-			r := new(rng.RNG)
-			var world core.World
-			a := &accs[wi]
-			for i := wi; i < runs; i += w {
-				r.ReseedStream(seed, uint64(i))
-				world.Resample(e.g, r)
-				sim.SetWorld(&world)
-				withB, _ := sim.Run(seedsA, seedsB, nil)
-				var withoutB int
-				if baseline != nil {
-					withoutB = int(baseline[i])
-				} else {
-					withoutB, _ = sim.Run(seedsA, nil, nil)
-				}
-				a.add(float64(withB - withoutB))
+	accs := make([]shiftedAcc, rng.Workers(e.Workers, runs))
+	rng.Streams(e.Workers, 0, runs, seed, func(w int) func(int, *rng.RNG) {
+		sim := core.NewSimulator(e.g, e.gap)
+		var world core.World
+		a := &accs[w]
+		return func(i int, r *rng.RNG) {
+			world.Resample(e.g, r)
+			sim.SetWorld(&world)
+			withB, _ := sim.Run(seedsA, seedsB, nil)
+			var withoutB int
+			if baseline != nil {
+				withoutB = int(baseline[i])
+			} else {
+				withoutB, _ = sim.Run(seedsA, nil, nil)
 			}
-			sim.SetWorld(nil)
-		}(wi)
-	}
-	wg.Wait()
+			a.add(float64(withB - withoutB))
+		}
+	})
 	var t shiftedAcc
 	for _, a := range accs {
 		t.merge(a)

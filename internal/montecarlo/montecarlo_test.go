@@ -12,25 +12,66 @@ import (
 
 var testGAP = core.GAP{QA0: 0.3, QAB: 0.8, QB0: 0.4, QBA: 0.9}
 
+// TestWorkerCountInvariance pins every estimator to bit-identical output
+// at any worker count: run i draws stream i whichever worker runs it, and
+// the per-worker accumulators merge exactly.
 func TestWorkerCountInvariance(t *testing.T) {
 	g := graph.PowerLaw(300, 6, 2.16, true, rng.New(1))
 	graph.AssignWeightedCascade(g)
-	e := New(g, testGAP)
 	sa, sb := []int32{0, 1}, []int32{2}
-	var base Result
-	for wi, workers := range []int{1, 2, 3, 7} {
-		e.Workers = workers
-		res := e.Estimate(sa, sb, 500, 99)
-		if wi == 0 {
-			base = res
-			continue
+	const runs, seed = 500, 99
+	baseline := New(g, testGAP).PairedBaselineA(sa, runs, seed)
+	// Each case returns its outputs' bits: means and stderrs, or the
+	// per-run baseline counts.
+	bits := func(xs ...float64) []uint64 {
+		out := make([]uint64, len(xs))
+		for i, x := range xs {
+			out[i] = math.Float64bits(x)
 		}
-		if res.MeanA != base.MeanA || res.MeanB != base.MeanB {
-			t.Fatalf("workers=%d changed the estimate: %+v vs %+v", workers, res, base)
-		}
-		if res.StderrA != base.StderrA {
-			t.Fatalf("workers=%d changed the stderr", workers)
-		}
+		return out
+	}
+	for _, tc := range []struct {
+		name string
+		call func(e *Estimator) []uint64
+	}{
+		{"Estimate", func(e *Estimator) []uint64 {
+			r := e.Estimate(sa, sb, runs, seed)
+			return bits(r.MeanA, r.MeanB, r.StderrA, r.StderrB)
+		}},
+		{"PairedBaselineA", func(e *Estimator) []uint64 {
+			var out []uint64
+			for _, c := range e.PairedBaselineA(sa, runs, seed) {
+				out = append(out, uint64(c))
+			}
+			return out
+		}},
+		{"BoostPaired", func(e *Estimator) []uint64 {
+			return bits(e.BoostPaired(sa, sb, runs, seed))
+		}},
+		{"BoostPairedFromBaseline", func(e *Estimator) []uint64 {
+			return bits(e.BoostPairedFromBaseline(sa, sb, baseline, runs, seed))
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var ref []uint64
+			for _, workers := range []int{1, 2, 3, 7} {
+				e := New(g, testGAP)
+				e.Workers = workers
+				got := tc.call(e)
+				if ref == nil {
+					ref = got
+					continue
+				}
+				if len(got) != len(ref) {
+					t.Fatalf("workers=%d: %d outputs, want %d", workers, len(got), len(ref))
+				}
+				for i := range got {
+					if got[i] != ref[i] {
+						t.Fatalf("workers=%d: output %d bits %x, want workers=1's %x", workers, i, got[i], ref[i])
+					}
+				}
+			}
+		})
 	}
 }
 
@@ -131,19 +172,6 @@ func TestPairedBoostVarianceReduction(t *testing.T) {
 	indepStderr := math.Sqrt(resWith.StderrA*resWith.StderrA + resWithout.StderrA*resWithout.StderrA)
 	if pairedStderr >= indepStderr {
 		t.Fatalf("paired stderr %v not below independent stderr %v", pairedStderr, indepStderr)
-	}
-}
-
-func TestBoostPairedDeterministic(t *testing.T) {
-	g := graph.ErdosRenyi(50, 200, rng.New(21))
-	graph.AssignUniform(g, 0.3)
-	e := New(g, testGAP)
-	e.Workers = 1
-	m1, _ := e.BoostPaired([]int32{0}, []int32{1}, 200, 31)
-	e.Workers = 4
-	m2, _ := e.BoostPaired([]int32{0}, []int32{1}, 200, 31)
-	if m1 != m2 {
-		t.Fatalf("BoostPaired not worker-invariant: %v vs %v", m1, m2)
 	}
 }
 

@@ -3,21 +3,24 @@
 //
 // Reproducibility is a first-class requirement for the experiment harness:
 // every simulation, possible world, and RR-set must be regenerable from a
-// single seed regardless of scheduling, so rng exposes a splittable PCG-style
-// generator. Independent streams are derived with Split, which hashes the
-// parent state with a stream index, so parallel workers draw from
-// statistically independent sequences that do not depend on goroutine
-// interleaving.
+// single seed regardless of scheduling. Item i of a batch (a Monte-Carlo
+// run, a KPT probe, an RR set) therefore draws stream i of the batch's
+// master seed, the state NewStream(seed, i) constructs, and Streams runs a
+// batch on parallel workers that each reseed one generator to item i's
+// stream before item i, so no draw depends on goroutine interleaving or on
+// the worker count.
 package rng
 
 import (
 	"math"
 	"math/bits"
+	"runtime"
+	"sync"
 )
 
 // RNG is a PCG-XSH-RR 64/32-inspired generator with a 64-bit state and a
 // 64-bit odd increment selecting the stream. The zero value is NOT usable;
-// construct with New or Split.
+// construct with New or NewStream, or reseed it with Reseed or ReseedStream.
 type RNG struct {
 	state uint64
 	inc   uint64
@@ -47,10 +50,10 @@ func (r *RNG) Reseed(seed uint64) {
 	r.Uint64()
 }
 
-// Split derives an independent stream identified by index i. Splitting the
-// same generator state with the same index always yields the same stream,
-// which is what makes parallel Monte-Carlo runs schedule-independent: run j
-// uses Split(j) of the experiment master seed.
+// Split derives an independent stream identified by index i of the
+// generator's current state. Splitting the same state with the same index
+// always yields the same stream. Batches of seeded items use NewStream's
+// streams through Streams instead.
 func (r *RNG) Split(i uint64) *RNG {
 	child := &RNG{
 		state: splitMix64(r.state ^ splitMix64(i)),
@@ -73,6 +76,49 @@ func NewStream(seed, i uint64) *RNG {
 // allocating a fresh RNG per stream (one per RR set during generation).
 func (r *RNG) ReseedStream(seed, i uint64) {
 	r.Reseed(splitMix64(seed) ^ splitMix64(i*0x9e3779b97f4a7c15+1))
+}
+
+// Workers returns the number of goroutines Streams runs a batch of count
+// items on: workers, or GOMAXPROCS when workers <= 0, capped at count (and
+// 0 when count <= 0). Callers size per-worker arrays with it.
+func Workers(workers, count int) int {
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	return max(min(workers, count), 0)
+}
+
+// Streams runs items first … first+count−1 of a batch on W =
+// Workers(workers, count) goroutines (inline when W is 1) and returns when
+// all have run. Worker w builds its per-item function once, with
+// newWorker(w), and runs items first+w, first+w+W, … in increasing order,
+// reseeding its one RNG to stream i of seed before item i. Which worker
+// runs an item depends only on (workers, count), so results written to
+// slot i, or folded into per-worker accumulators merged in worker order,
+// do not depend on scheduling.
+func Streams(workers, first, count int, seed uint64, newWorker func(w int) func(i int, r *RNG)) {
+	w := Workers(workers, count)
+	run := func(wi int) {
+		item := newWorker(wi)
+		var r RNG
+		for i := first + wi; i < first+count; i += w {
+			r.ReseedStream(seed, uint64(i))
+			item(i, &r)
+		}
+	}
+	if w == 1 {
+		run(0)
+		return
+	}
+	var wg sync.WaitGroup
+	wg.Add(w)
+	for wi := range w {
+		go func() {
+			defer wg.Done()
+			run(wi)
+		}()
+	}
+	wg.Wait()
 }
 
 // Uint64 returns the next 64 pseudo-random bits: two rounds of

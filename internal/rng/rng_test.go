@@ -2,6 +2,8 @@ package rng
 
 import (
 	"math"
+	"runtime"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -71,6 +73,51 @@ func TestNewStreamMatchesItself(t *testing.T) {
 	for i := 0; i < 50; i++ {
 		if a.Uint64() != b.Uint64() {
 			t.Fatal("NewStream is not deterministic")
+		}
+	}
+}
+
+// TestStreams pins the batch schedule every parallel loop relies on: W =
+// Workers(workers, count) workers, each built once, worker w running items
+// first+w, first+w+W, … in increasing order, each item exactly once and on
+// an RNG reseeded to the item's stream.
+func TestStreams(t *testing.T) {
+	procs := runtime.GOMAXPROCS(0)
+	const seed = 17
+	for _, tc := range []struct {
+		workers, first, count, wantW int
+	}{
+		{1, 0, 10, 1},
+		{3, 5, 20, 3},
+		{4, 100, 4, 4},
+		{7, 2, 3, 3},                // workers > count means count
+		{0, 0, 50, min(procs, 50)},  // workers <= 0 means GOMAXPROCS
+		{-2, 9, 50, min(procs, 50)}, // ditto
+		{3, 4, 0, 0},                // count 0 runs nothing
+	} {
+		if got := Workers(tc.workers, tc.count); got != tc.wantW {
+			t.Errorf("Workers(%d, %d) = %d, want %d", tc.workers, tc.count, got, tc.wantW)
+		}
+		items := make([][]int, tc.wantW)
+		built := make([]int, tc.wantW)
+		Streams(tc.workers, tc.first, tc.count, seed, func(w int) func(int, *RNG) {
+			built[w]++
+			return func(i int, r *RNG) {
+				items[w] = append(items[w], i)
+				if got, want := r.Uint64(), NewStream(seed, uint64(i)).Uint64(); got != want {
+					t.Errorf("item %d drew %#x, want stream %d's first draw %#x", i, got, i, want)
+				}
+			}
+		})
+		for w := range items {
+			var want []int
+			for i := tc.first + w; i < tc.first+tc.count; i += tc.wantW {
+				want = append(want, i)
+			}
+			if built[w] != 1 || !slices.Equal(items[w], want) {
+				t.Errorf("Streams(%d, %d, %d): worker %d built %d times, ran %v, want once and %v",
+					tc.workers, tc.first, tc.count, w, built[w], items[w], want)
+			}
 		}
 	}
 }

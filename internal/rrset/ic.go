@@ -31,7 +31,11 @@ func (ic *IC) SetWorld(w *core.World) { ic.s.world = w }
 func (ic *IC) Counters() *Counters { return &ic.counters }
 
 // Clone implements Generator.
-func (ic *IC) Clone() Generator { return NewIC(ic.s.g) }
+func (ic *IC) Clone() Generator {
+	c := NewIC(ic.s.g)
+	c.s.world = ic.s.world
+	return c
+}
 
 // Generate implements Generator.
 func (ic *IC) Generate(root int32, r *rng.RNG, out *RRSet) {

@@ -334,14 +334,43 @@ func TestCIMActivationEquivalence(t *testing.T) {
 
 func TestNewSIMRejectsBadGAPs(t *testing.T) {
 	g := graph.Path(3, 1)
-	if _, err := NewSIM(g, core.GAP{QA0: 0.5, QAB: 0.9, QB0: 0.3, QBA: 0.8}, nil); err == nil {
-		t.Fatal("RR-SIM accepted qB0 != qBA")
+	for _, c := range []struct {
+		name string
+		make func(core.GAP, []int32) error
+	}{
+		{"RR-SIM", func(gap core.GAP, sb []int32) error { _, err := NewSIM(g, gap, sb); return err }},
+		{"RR-SIM+", func(gap core.GAP, sb []int32) error { _, err := NewSIMPlus(g, gap, sb); return err }},
+	} {
+		if c.make(core.GAP{QA0: 0.5, QAB: 0.9, QB0: 0.3, QBA: 0.8}, nil) == nil {
+			t.Fatalf("%s accepted qB0 != qBA", c.name)
+		}
+		if c.make(core.GAP{QA0: 0.9, QAB: 0.5, QB0: 0.3, QBA: 0.3}, nil) == nil {
+			t.Fatalf("%s accepted qA0 > qAB", c.name)
+		}
+		if c.make(core.GAP{QA0: 2, QAB: 0.5, QB0: 0.3, QBA: 0.3}, nil) == nil {
+			t.Fatalf("%s accepted invalid GAP", c.name)
+		}
+		if c.make(core.GAP{QA0: 0.3, QAB: 0.5, QB0: 0.3, QBA: 0.3}, []int32{3}) == nil {
+			t.Fatalf("%s accepted a B-seed outside the graph", c.name)
+		}
 	}
-	if _, err := NewSIM(g, core.GAP{QA0: 0.9, QAB: 0.5, QB0: 0.3, QBA: 0.3}, nil); err == nil {
-		t.Fatal("RR-SIM accepted qA0 > qAB")
+}
+
+// TestNewSIMPlusAllocs: RR-SIM+ checks its inputs without building a
+// throwaway RR-SIM generator, so a construction (one per worker clone)
+// allocates its own scratch only: one marker more than RR-SIM's.
+func TestNewSIMPlusAllocs(t *testing.T) {
+	g := graph.PowerLaw(300, 6, 2.16, true, rng.New(1))
+	gap := core.GAP{QA0: 0.3, QAB: 0.8, QB0: 0.5, QBA: 0.5}
+	seedsB := []int32{1, 2, 3}
+	var err error
+	sim := testing.AllocsPerRun(10, func() { _, err = NewSIM(g, gap, seedsB) })
+	plus := testing.AllocsPerRun(10, func() { _, err = NewSIMPlus(g, gap, seedsB) })
+	if err != nil {
+		t.Fatal(err)
 	}
-	if _, err := NewSIM(g, core.GAP{QA0: 2, QAB: 0.5, QB0: 0.3, QBA: 0.3}, nil); err == nil {
-		t.Fatal("RR-SIM accepted invalid GAP")
+	if plus > sim+1 {
+		t.Fatalf("NewSIMPlus allocates %v times, NewSIM %v: want at most one more", plus, sim)
 	}
 }
 
@@ -635,6 +664,49 @@ func TestBuildCollectionArenaMatchesCollect(t *testing.T) {
 	}
 }
 
+// TestBuildCollectionWorldInjected: every kind's Clone carries an injected
+// world, so a parallel build on worker clones reads that world, and each
+// set equals the one the injected generator itself makes for the same
+// stream.
+func TestBuildCollectionWorldInjected(t *testing.T) {
+	g, world, _ := randomGraphWorld(5, 60, 240, 0.2)
+	selfGAP := core.GAP{QA0: 0.3, QAB: 0.8, QB0: 0.5, QBA: 0.5}
+	compGAP := core.GAP{QA0: 0.1, QAB: 0.9, QB0: 0.5, QBA: 1}
+	opp := []int32{1, 2, 3}
+	for _, req := range []CollectionRequest{
+		{Kind: KindIC},
+		{Kind: KindSIM, GAP: selfGAP, Opposite: opp},
+		{Kind: KindSIMPlus, GAP: selfGAP, Opposite: opp},
+		{Kind: KindCIM, GAP: compGAP, Opposite: opp},
+	} {
+		req.Graph = g
+		t.Run(string(req.Kind), func(t *testing.T) {
+			gen, err := req.NewGenerator()
+			if err != nil {
+				t.Fatal(err)
+			}
+			ref, err := req.NewGenerator()
+			if err != nil {
+				t.Fatal(err)
+			}
+			gen.SetWorld(world)
+			ref.SetWorld(world)
+			const theta, seed = 200, 7
+			col := BuildCollection(gen, g.M(), 3, Options{FixedTheta: theta, Workers: 3}, seed)
+			var want RRSet
+			for i := 0; i < theta; i++ {
+				r := rng.NewStream(seed, uint64(i))
+				ref.Generate(int32(r.Intn(g.N())), r, &want)
+				got := col.Set(i)
+				if got.Root != want.Root || got.Width != want.Width || !setsEqual(got.Nodes, want.Nodes) {
+					t.Fatalf("set %d: built (%d, %d, %v), world's (%d, %d, %v)",
+						i, got.Root, got.Width, got.Nodes, want.Root, want.Width, want.Nodes)
+				}
+			}
+		})
+	}
+}
+
 func TestCollectionBytesExact(t *testing.T) {
 	g := graph.PowerLaw(300, 6, 2.16, true, rng.New(1))
 	graph.AssignWeightedCascade(g)
@@ -855,6 +927,26 @@ func BenchmarkRRCIM(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		r := rng.NewStream(2, uint64(i))
 		gen.Generate(int32(r.Intn(g.N())), r, &set)
+	}
+}
+
+// BenchmarkBuildCollection times one whole RR-SIM+ build with θ derived
+// from KPT: the probe batches, then θ sets into the arena, on the default
+// workers.
+func BenchmarkBuildCollection(b *testing.B) {
+	g := graph.PowerLaw(2000, 8, 2.16, true, rng.New(1))
+	graph.AssignWeightedCascade(g)
+	req := CollectionRequest{
+		Graph: g, Kind: KindSIMPlus, K: 10, Seed: 3,
+		GAP:      core.GAP{QA0: 0.3, QAB: 0.8, QB0: 0.5, QBA: 0.5},
+		Opposite: []int32{0, 1, 2, 3, 4},
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := req.Build(); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 

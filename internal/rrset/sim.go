@@ -27,16 +27,7 @@ type SIM struct {
 // NewSIM returns an RR-SIM generator. It rejects GAPs outside the algorithm's
 // soundness region.
 func NewSIM(g *graph.Graph, gap core.GAP, seedsB []int32) (*SIM, error) {
-	if err := gap.Validate(); err != nil {
-		return nil, err
-	}
-	if gap.QB0 != gap.QBA {
-		return nil, fmt.Errorf("rrset: RR-SIM requires q_B|∅ = q_B|A (one-way complementarity), got %v vs %v", gap.QB0, gap.QBA)
-	}
-	if gap.QA0 > gap.QAB {
-		return nil, fmt.Errorf("rrset: RR-SIM requires q_A|∅ ≤ q_A|B, got %v > %v", gap.QA0, gap.QAB)
-	}
-	if err := checkSeedRange(seedsB, g.N()); err != nil {
+	if err := checkSIM(g, gap, seedsB); err != nil {
 		return nil, err
 	}
 	return &SIM{
@@ -46,6 +37,21 @@ func NewSIM(g *graph.Graph, gap core.GAP, seedsB []int32) (*SIM, error) {
 		bAdopted: newMarker(g.N()),
 		visited:  newMarker(g.N()),
 	}, nil
+}
+
+// checkSIM rejects the inputs RR-SIM and RR-SIM+ are unsound or undefined
+// for: a GAP outside one-way complementarity, or a B-seed outside g.
+func checkSIM(g *graph.Graph, gap core.GAP, seedsB []int32) error {
+	if err := gap.Validate(); err != nil {
+		return err
+	}
+	if gap.QB0 != gap.QBA {
+		return fmt.Errorf("rrset: RR-SIM requires q_B|∅ = q_B|A (one-way complementarity), got %v vs %v", gap.QB0, gap.QBA)
+	}
+	if gap.QA0 > gap.QAB {
+		return fmt.Errorf("rrset: RR-SIM requires q_A|∅ ≤ q_A|B, got %v > %v", gap.QA0, gap.QAB)
+	}
+	return checkSeedRange(seedsB, g.N())
 }
 
 // N implements Generator.

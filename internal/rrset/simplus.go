@@ -25,7 +25,7 @@ type SIMPlus struct {
 // NewSIMPlus returns an RR-SIM+ generator under the same soundness
 // conditions as NewSIM.
 func NewSIMPlus(g *graph.Graph, gap core.GAP, seedsB []int32) (*SIMPlus, error) {
-	if _, err := NewSIM(g, gap, seedsB); err != nil {
+	if err := checkSIM(g, gap, seedsB); err != nil {
 		return nil, err
 	}
 	return &SIMPlus{

@@ -2,8 +2,6 @@ package rrset
 
 import (
 	"math"
-	"runtime"
-	"sync"
 
 	"comic/internal/rng"
 )
@@ -49,72 +47,43 @@ func lnChoose(n, k int) float64 {
 // using the estimator κ(R) = 1 − (1 − ω(R)/m)^k over geometrically growing
 // batches. Returns at least 1.
 //
-// Probes run on up to `workers` generator clones (default GOMAXPROCS), with
-// probe j of the whole estimation always drawing random stream j of seed and
-// the κ values accumulated in probe order, so the estimate is bitwise
-// identical for every worker count. Exploration counters from all clones are
-// folded into gen's.
+// Each batch runs through rng.Streams on up to `workers` generator clones
+// (0 means GOMAXPROCS), one per worker, kept across batches. Probe j of the
+// whole estimation always draws random stream j of seed and the κ values
+// are accumulated in probe order, so the estimate is bitwise identical for
+// every worker count. Exploration counters from all clones are folded into
+// gen's.
 func EstimateKPT(gen Generator, m, k int, ell float64, seed uint64, workers int) float64 {
 	n := gen.N()
 	if n < 2 || m == 0 {
 		return 1
 	}
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
 	log2n := math.Log2(float64(n))
 	batchBase := 6*ell*math.Log(float64(n)) + 6*math.Log(log2n)
 
-	type probeWorker struct {
-		gen Generator
-		set RRSet
-		r   rng.RNG
-	}
-	pws := make([]*probeWorker, 1, workers)
-	pws[0] = &probeWorker{gen: gen.Clone()}
-	defer func() {
-		for _, pw := range pws {
-			gen.Counters().Add(pw.gen.Counters())
-		}
-	}()
-	// probe draws stream `stream` and stores κ(R) of the sampled set.
-	probe := func(pw *probeWorker, stream uint64, out *float64) {
-		pw.r.ReseedStream(seed, stream)
-		root := int32(pw.r.Intn(n))
-		pw.gen.Generate(root, &pw.r, &pw.set)
-		*out = 1 - math.Pow(1-float64(pw.set.Width)/float64(m), float64(k))
-	}
-
+	clones := make([]Generator, rng.Workers(workers, math.MaxInt))
+	defer addCounters(gen, clones)
 	var kappas []float64
-	streamBase := uint64(0)
+	first := 0
 	for i := 1; i < int(log2n); i++ {
 		ci := int(math.Ceil(batchBase * math.Pow(2, float64(i))))
 		if cap(kappas) < ci {
 			kappas = make([]float64, ci)
 		}
 		kappas = kappas[:ci]
-		if w := min(workers, ci); w <= 1 {
-			for j := 0; j < ci; j++ {
-				probe(pws[0], streamBase+uint64(j), &kappas[j])
+		// Probe j stores κ(R) of the set it samples in kappas[j-first].
+		rng.Streams(workers, first, ci, seed, func(w int) func(int, *rng.RNG) {
+			if clones[w] == nil {
+				clones[w] = gen.Clone()
 			}
-		} else {
-			for len(pws) < w {
-				pws = append(pws, &probeWorker{gen: gen.Clone()})
+			cl := clones[w]
+			var set RRSet
+			return func(j int, r *rng.RNG) {
+				cl.Generate(int32(r.Intn(n)), r, &set)
+				kappas[j-first] = 1 - math.Pow(1-float64(set.Width)/float64(m), float64(k))
 			}
-			var wg sync.WaitGroup
-			for wi := 0; wi < w; wi++ {
-				wg.Add(1)
-				go func(wi int) {
-					defer wg.Done()
-					pw := pws[wi]
-					for j := wi; j < ci; j += w {
-						probe(pw, streamBase+uint64(j), &kappas[j])
-					}
-				}(wi)
-			}
-			wg.Wait()
-		}
-		streamBase += uint64(ci)
+		})
+		first += ci
 		// Sum in probe order: float addition is order-dependent, and the
 		// estimate must not depend on the worker count.
 		sum := 0.0

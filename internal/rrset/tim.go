@@ -1,7 +1,6 @@
 package rrset
 
 import (
-	"runtime"
 	"sync"
 	"time"
 
@@ -32,9 +31,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.MaxTheta <= 0 {
 		o.MaxTheta = 2_000_000
-	}
-	if o.Workers <= 0 {
-		o.Workers = runtime.GOMAXPROCS(0)
 	}
 	return o
 }
@@ -69,38 +65,28 @@ type Stats struct {
 // the same sets into one flat arena (see Collection) and is what the
 // serving path uses.
 func Collect(gen Generator, count int, workers int, seed uint64) []RRSet {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > count {
-		workers = count
-	}
 	sets := make([]RRSet, count)
-	if count == 0 {
-		return sets
-	}
 	n := gen.N()
-	clones := make([]Generator, workers)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			cl := gen.Clone()
-			clones[w] = cl
-			var r rng.RNG
-			for i := w; i < count; i += workers {
-				r.ReseedStream(seed, uint64(i))
-				root := int32(r.Intn(n))
-				cl.Generate(root, &r, &sets[i])
-			}
-		}(w)
-	}
-	wg.Wait()
-	for _, cl := range clones {
-		gen.Counters().Add(cl.Counters())
-	}
+	clones := make([]Generator, rng.Workers(workers, count))
+	rng.Streams(workers, 0, count, seed, func(w int) func(int, *rng.RNG) {
+		cl := gen.Clone()
+		clones[w] = cl
+		return func(i int, r *rng.RNG) {
+			cl.Generate(int32(r.Intn(n)), r, &sets[i])
+		}
+	})
+	addCounters(gen, clones)
 	return sets
+}
+
+// addCounters folds the exploration counters of a batch's worker clones
+// (nil for a worker that never ran) into gen's.
+func addCounters(gen Generator, clones []Generator) {
+	for _, cl := range clones {
+		if cl != nil {
+			gen.Counters().Add(cl.Counters())
+		}
+	}
 }
 
 // collectFlat generates count RR sets directly into flat arena form: one
@@ -111,12 +97,6 @@ func Collect(gen Generator, count int, workers int, seed uint64) []RRSet {
 // Nodes slice per set, and the final arena is sized exactly (len == cap),
 // which is what lets Collection.Bytes account cache memory exactly.
 func collectFlat(gen Generator, count, workers int, seed uint64) (offsets []int64, nodes, roots []int32, widths []int64) {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > count {
-		workers = count
-	}
 	offsets = make([]int64, count+1)
 	roots = make([]int32, count)
 	widths = make([]int64, count)
@@ -124,41 +104,30 @@ func collectFlat(gen Generator, count, workers int, seed uint64) (offsets []int6
 		return offsets, nil, roots, widths
 	}
 	n := gen.N()
+	workers = rng.Workers(workers, count)
 	clones := make([]Generator, workers)
 	bufs := make([][]int32, workers)
 	lens := make([]int32, count) // disjoint strided writes, no races
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			cl := gen.Clone()
-			clones[w] = cl
-			var buf []int32
-			var set RRSet
-			var r rng.RNG
-			for i := w; i < count; i += workers {
-				r.ReseedStream(seed, uint64(i))
-				root := int32(r.Intn(n))
-				cl.Generate(root, &r, &set)
-				lens[i] = int32(len(set.Nodes))
-				roots[i] = set.Root
-				widths[i] = set.Width
-				buf = append(buf, set.Nodes...)
-			}
-			bufs[w] = buf
-		}(w)
-	}
-	wg.Wait()
-	for _, cl := range clones {
-		gen.Counters().Add(cl.Counters())
-	}
+	rng.Streams(workers, 0, count, seed, func(w int) func(int, *rng.RNG) {
+		cl := gen.Clone()
+		clones[w] = cl
+		var set RRSet
+		return func(i int, r *rng.RNG) {
+			cl.Generate(int32(r.Intn(n)), r, &set)
+			lens[i] = int32(len(set.Nodes))
+			roots[i] = set.Root
+			widths[i] = set.Width
+			bufs[w] = append(bufs[w], set.Nodes...)
+		}
+	})
+	addCounters(gen, clones)
 	for i := 0; i < count; i++ {
 		offsets[i+1] = offsets[i] + int64(lens[i])
 	}
 	nodes = make([]int32, offsets[count])
 	// Scatter each worker's buffer to the arena; worker w's buffer holds
 	// sets w, w+workers, ... contiguously in generation order.
+	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func(w int) {

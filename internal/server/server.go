@@ -244,6 +244,7 @@ func New(cfg Config) (*Server, error) {
 		if err := os.MkdirAll(graphsDir, 0o755); err != nil {
 			return nil, fmt.Errorf("server: creating state dir: %v", err)
 		}
+		sweepTempFiles(graphsDir)
 	}
 	s.reg = newRegistry(s.index, graphsDir)
 

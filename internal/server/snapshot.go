@@ -220,9 +220,10 @@ func (x *Index) openSnapshotDir(dir string) (*DirStore, error) {
 	return store, nil
 }
 
-// sweepTempFiles removes the temp files a crashed writer left in dir. Only
-// the state directory, which one process owns, is swept: in a shared store
-// a temp file may be another node's write in flight.
+// sweepTempFiles removes the temp files a crashed writer left in dir: New
+// sweeps the state's graphs directory and SaveSnapshot its index directory.
+// Only the state directory, which one process owns, is swept: in a shared
+// store a temp file may be another node's write in flight.
 func sweepTempFiles(dir string) {
 	des, err := os.ReadDir(dir)
 	if err != nil {

@@ -5,7 +5,9 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
+	"errors"
 	"io"
+	"io/fs"
 	"net"
 	"net/http"
 	"os"
@@ -535,6 +537,34 @@ const snapSolveBody = `{"dataset":"Flixster","k":5,"seedsB":[1,2],"fixedTheta":2
 // uploadBody is a small two-item-complementary graph upload.
 const snapUploadBody = `{"name":"mine","gap":{"qa0":0.6,"qab":0.9,"qb0":0.6,"qba":0.9},` +
 	`"edgeList":"4 3\n0 1 0.9\n1 2 0.9\n2 3 0.9\n"}`
+
+func TestNewSweepsGraphTempFiles(t *testing.T) {
+	// A process that died mid-persist leaves writeFileAtomic's temp files
+	// in <state>/graphs. The next server over the directory, its one owner,
+	// removes them at start-up.
+	d := testDataset(t)
+	dir := t.TempDir()
+	graphs := filepath.Join(dir, "graphs")
+	if err := os.MkdirAll(graphs, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	stale := []string{"0123456789abcdef.edges.tmp-9", "0123456789abcdef.json.tmp-4"}
+	for _, name := range stale {
+		if err := os.WriteFile(filepath.Join(graphs, name), []byte("partial upload"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	s, err := server.New(stateConfig(d, dir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	for _, name := range stale {
+		if _, err := os.Stat(filepath.Join(graphs, name)); !errors.Is(err, fs.ErrNotExist) {
+			t.Errorf("%s survived New (stat err %v)", name, err)
+		}
+	}
+}
 
 func TestServerRestoreParity(t *testing.T) {
 	d := testDataset(t)
