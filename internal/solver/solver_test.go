@@ -110,7 +110,10 @@ func checkGolden(t *testing.T, what string, got *Result, want goldenSolve) {
 // chosen candidate, ratio, and every candidate's objective and θ. The graph
 // comes from ErdosRenyi and AssignWeightedCascade, which never call the
 // math library, and θ is fixed, so the pinned bits hold on every Go
-// toolchain.
+// toolchain. The last three rows are sandwich solves whose lower and upper
+// candidates hold the same nodes: as identical slices, with their two
+// A-seeds that are also B-seeds (dual seeds) in the same order, and with
+// those two in opposite orders.
 func TestQPlusGolden(t *testing.T) {
 	g := graph.ErdosRenyi(300, 1800, rng.New(31))
 	graph.AssignWeightedCascade(g)
@@ -120,10 +123,15 @@ func TestQPlusGolden(t *testing.T) {
 		{QA0: 0.5, QAB: 0.5, QB0: 0.4, QBA: 0.9}, // A-indifferent, inside Q+
 		{QA0: 0.4, QAB: 0.4, QB0: 0.6, QBA: 0.6}, // mutual indifference
 		core.ClassicIC(),
+		{QA0: 0.7, QAB: 0.95, QB0: 0.6, QBA: 0.9}, // strict Q+, higher adoption
 	}
+	// k, seed and opp default to 4, 7 and {0, 1, 2} when zero.
 	cases := []struct {
 		gap        int
 		greedy     bool
+		k          int
+		seed       uint64
+		opp        []int32
 		self, comp goldenSolve
 	}{
 		{gap: 0, greedy: false,
@@ -173,26 +181,60 @@ func TestQPlusGolden(t *testing.T) {
 			comp: goldenSolve{[]int32{0, 1, 2, 3}, "upper", 0, []goldenCandidate{
 				{"upper", []int32{0, 1, 2, 3}, 0, 2000},
 			}}},
+		{gap: 0, k: 2, seed: 6, opp: []int32{220, 255, 1, 281},
+			self: goldenSolve{[]int32{1, 220}, "lower", 0.5465041693393201, []goldenCandidate{
+				{"lower", []int32{1, 220}, 5.112, 2000},
+				{"upper", []int32{1, 220}, 5.112, 2000},
+			}},
+			comp: goldenSolve{[]int32{220, 112}, "upper", 1.1050656660412757, []goldenCandidate{
+				{"upper", []int32{220, 112}, 1.178, 2000},
+			}}},
+		{gap: 5, k: 3, seed: 6, opp: []int32{92, 222, 13, 52, 198},
+			self: goldenSolve{[]int32{222, 71, 92}, "lower", 0.742476929249699, []goldenCandidate{
+				{"lower", []int32{222, 71, 92}, 22.206, 2000},
+				{"upper", []int32{222, 92, 71}, 22.206, 2000},
+			}},
+			comp: goldenSolve{[]int32{222, 52, 92}, "upper", 0.9254698639014907, []goldenCandidate{
+				{"upper", []int32{222, 52, 92}, 8.568, 2000},
+			}}},
+		{gap: 0, k: 2, seed: 6, opp: []int32{215, 233, 228},
+			self: goldenSolve{[]int32{215, 233}, "upper", 0.5079418157498746, []goldenCandidate{
+				{"lower", []int32{233, 215}, 6.048, 2000},
+				{"upper", []int32{215, 233}, 6.076, 2000},
+			}},
+			comp: goldenSolve{[]int32{215, 292}, "upper", 1.0903686087990487, []goldenCandidate{
+				{"upper", []int32{215, 292}, 1.834, 2000},
+			}}},
 	}
-	opp := []int32{0, 1, 2}
 	for _, tc := range cases {
 		gap := gaps[tc.gap]
 		if !gap.Regime().InQPlus() {
 			t.Fatalf("gap %d: regime %v not in Q+", tc.gap, gap.Regime())
 		}
-		cfg := testConfig(4)
+		k, opp := tc.k, tc.opp
+		if k == 0 {
+			k = 4
+		}
+		if opp == nil {
+			opp = []int32{0, 1, 2}
+		}
+		cfg := testConfig(k)
+		if tc.seed != 0 {
+			cfg.Seed = tc.seed
+		}
 		cfg.IncludeGreedy = tc.greedy
 		cfg.GreedyRuns = 50
+		what := fmt.Sprintf("gap %d greedy=%v k=%d seed=%d", tc.gap, tc.greedy, k, cfg.Seed)
 		res, err := SolveSelfInfMax(g, gap, opp, cfg)
 		if err != nil {
-			t.Fatalf("gap %d: self: %v", tc.gap, err)
+			t.Fatalf("%s: self: %v", what, err)
 		}
-		checkGolden(t, fmt.Sprintf("gap %d greedy=%v self", tc.gap, tc.greedy), res, tc.self)
+		checkGolden(t, what+" self", res, tc.self)
 		cres, err := SolveCompInfMax(g, gap, opp, cfg)
 		if err != nil {
-			t.Fatalf("gap %d: comp: %v", tc.gap, err)
+			t.Fatalf("%s: comp: %v", what, err)
 		}
-		checkGolden(t, fmt.Sprintf("gap %d greedy=%v comp", tc.gap, tc.greedy), cres, tc.comp)
+		checkGolden(t, what+" comp", cres, tc.comp)
 	}
 }
 
