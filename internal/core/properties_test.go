@@ -130,15 +130,20 @@ func TestP1P2CompInfMaxAtQBA1(t *testing.T) {
 	t.Logf("explained (P2) violations across trials: %d (all due to non-B-diffusible seeds)", violations)
 }
 
-// TestTheorem11P2HomogeneousCompetition checks (P2) for mutual competition
-// with q_{A|∅} = q_{B|∅} = 1 — the setting where Theorem 11 proves
-// self-submodularity. (P1) is Theorem 3's monotonicity.
+// TestTheorem11P2HomogeneousCompetition checks (P2) for q_{A|∅} = q_{B|∅} = 1
+// — the setting where Theorem 11 proves self-submodularity — with q_{A|B}
+// and q_{B|A} anywhere in [0, 1]: strict competition, and every fourth trial
+// on the one-way-suppression boundary q_{B|A} = 1, where B ignores A. (P1)
+// is Theorem 3's monotonicity.
 func TestTheorem11P2HomogeneousCompetition(t *testing.T) {
-	for trial := 0; trial < 25; trial++ {
+	for trial := 0; trial < 40; trial++ {
 		r := rng.New(uint64(10000 + trial))
 		g := graph.ErdosRenyi(15, 40, r)
 		graph.AssignUniform(g, 0.6)
-		gap := core.GAP{QA0: 1, QAB: 0.5 * r.Float64(), QB0: 1, QBA: 0.5 * r.Float64()}
+		gap := core.GAP{QA0: 1, QAB: r.Float64(), QB0: 1, QBA: r.Float64()}
+		if trial%4 == 0 {
+			gap.QBA = 1
+		}
 		w := core.SampleWorld(g, r)
 		sim := core.NewSimulator(g, gap)
 		sim.SetWorld(w)

@@ -401,6 +401,44 @@ func (s *Simulator) Run(seedsA, seedsB []int32, r *rng.RNG) (countA, countB int)
 	return s.countA, s.countB
 }
 
+// SameRuns reports whether Run(a, seedsB, r) and Run(b, seedsB, r) must
+// return the same counts and leave every node in the same final state: for
+// every RNG state in lazy mode and every world in world mode, under any
+// GAPs, per-node GAPs and per-item probabilities. Run reads its A-seeds
+// through two things only: their set of nodes, and the order of the dual
+// seeds among them (A-seeds that are also in seedsB). Step 0 draws one seed
+// coin per dual seed, in A-seed order, and draws nothing for the other
+// seeds; every later draw follows node order. So SameRuns is true when a
+// and b hold the same nodes and list their dual seeds in the same order,
+// each repeated seed counting where it first appears. It covers counts and
+// final states only: AdoptedA, AdoptedB and a RunTrace's sequence numbers
+// and event stamps may still list step 0's adoptions in another order.
+// World mode never reads the order at all, so there a false SameRuns does
+// not mean the runs differ.
+func SameRuns(a, b, seedsB []int32) bool {
+	setA, setB := slices.Clone(a), slices.Clone(b)
+	slices.Sort(setA)
+	slices.Sort(setB)
+	if !slices.Equal(slices.Compact(setA), slices.Compact(setB)) {
+		return false
+	}
+	sortedB := slices.Clone(seedsB)
+	slices.Sort(sortedB)
+	return slices.Equal(dualSeeds(a, sortedB), dualSeeds(b, sortedB))
+}
+
+// dualSeeds returns the nodes of seedsA that are also in sortedB, in order
+// of first appearance in seedsA: the order Run draws their seed coins in.
+func dualSeeds(seedsA, sortedB []int32) []int32 {
+	var out []int32
+	for _, v := range seedsA {
+		if _, ok := slices.BinarySearch(sortedB, v); ok && !slices.Contains(out, v) {
+			out = append(out, v)
+		}
+	}
+	return out
+}
+
 func (s *Simulator) seedCoin(v int32) Item {
 	if s.world != nil {
 		return s.world.SeedFirst[v]

@@ -1007,6 +1007,98 @@ func TestSimulatorGolden(t *testing.T) {
 	}
 }
 
+// TestSameRunsMatchesRun checks core.SameRuns against Run itself, over 300
+// stream-seeded runs in lazy mode, world mode, and lazy mode with per-item
+// probabilities or per-node GAPs. Moving non-dual A-seeds or repeating an
+// A-seed leaves every run's counts and final states unchanged, and SameRuns
+// says so. Swapping the two dual seeds makes SameRuns false, changes at
+// least one lazy run (their seed coins trade places), and changes no world
+// run (a world fixes each node's coin).
+func TestSameRunsMatchesRun(t *testing.T) {
+	g := graph.ErdosRenyi(60, 300, rng.New(23))
+	graph.AssignUniform(g, 0.4)
+	competition := core.GAP{QA0: 0.8, QAB: 0.2, QB0: 0.7, QBA: 0.3}
+	pA := make([]float64, g.M())
+	pB := make([]float64, g.M())
+	for eid := range pA {
+		pA[eid] = 0.2 + 0.6*float64(eid%7)/6
+		pB[eid] = 0.8 - 0.6*float64(eid%5)/4
+	}
+	mixed := []core.GAP{competition, core.PureCompetition(), {QA0: 0.3, QAB: 0.9, QB0: 0.6, QBA: 0.1}}
+	nodeGAPs := make([]core.GAP, g.N())
+	for v := range nodeGAPs {
+		nodeGAPs[v] = mixed[v%len(mixed)]
+	}
+	seedsB := []int32{2, 4, 30}
+	seedsA := []int32{10, 2, 11, 4, 12} // dual seeds 2, then 4
+	same := []struct {
+		name  string
+		seeds []int32
+	}{
+		{"permuted", []int32{12, 2, 4, 10, 11}},
+		{"repeated", []int32{10, 2, 11, 2, 4, 12, 10}},
+		{"reordered", []int32{2, 12, 11, 4, 10}},
+	}
+	swapped := []int32{10, 4, 11, 2, 12}
+	for _, c := range same {
+		if !core.SameRuns(seedsA, c.seeds, seedsB) {
+			t.Errorf("SameRuns(%v, %s %v) = false", seedsA, c.name, c.seeds)
+		}
+	}
+	if core.SameRuns(seedsA, swapped, seedsB) {
+		t.Errorf("SameRuns(%v, swapped %v) = true", seedsA, swapped)
+	}
+	if core.SameRuns(seedsA, seedsA[:4], seedsB) {
+		t.Errorf("SameRuns(%v, %v) = true for different node sets", seedsA, seedsA[:4])
+	}
+
+	type outcome struct {
+		ca, cb int
+		states []core.State
+	}
+	modes := []struct {
+		name  string
+		setup func(*core.Simulator)
+		world bool
+	}{
+		{name: "lazy", setup: func(*core.Simulator) {}},
+		{name: "world", setup: func(*core.Simulator) {}, world: true},
+		{name: "item probs", setup: func(s *core.Simulator) { s.SetItemProbs(pA, pB) }},
+		{name: "node GAPs", setup: func(s *core.Simulator) { s.SetNodeGAPs(nodeGAPs) }},
+	}
+	for _, m := range modes {
+		sim := core.NewSimulator(g, competition)
+		m.setup(sim)
+		var w core.World
+		runs := func(seedsA []int32) []outcome {
+			out := make([]outcome, 300)
+			for i := range out {
+				r := rng.NewStream(77, uint64(i))
+				if m.world {
+					w.Resample(g, r)
+					sim.SetWorld(&w)
+					r = nil
+				}
+				o := &out[i]
+				o.ca, o.cb = sim.Run(seedsA, seedsB, r)
+				for v := int32(0); v < int32(g.N()); v++ {
+					o.states = append(o.states, sim.StateOf(v, core.A), sim.StateOf(v, core.B))
+				}
+			}
+			return out
+		}
+		base := runs(seedsA)
+		for _, c := range same {
+			if !reflect.DeepEqual(runs(c.seeds), base) {
+				t.Errorf("%s: %s A-seeds %v changed a run", m.name, c.name, c.seeds)
+			}
+		}
+		if changed := !reflect.DeepEqual(runs(swapped), base); changed != !m.world {
+			t.Errorf("%s: swapping the dual seeds changed a run: %v, want %v", m.name, changed, !m.world)
+		}
+	}
+}
+
 func BenchmarkDiffusionLazy(b *testing.B) {
 	g := graph.PowerLaw(10000, 10, 2.16, true, rng.New(1))
 	graph.AssignWeightedCascade(g)

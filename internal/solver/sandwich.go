@@ -36,7 +36,11 @@ func compUpper(gap core.GAP) core.GAP {
 
 // sandwichSelf solves SelfInfMax for a Q+ GAP under which B is not
 // indifferent to A: GeneralTIM on the two submodular bound instances,
-// candidate selection by Monte-Carlo under the original GAPs.
+// candidate selection by Monte-Carlo under the original GAPs. Both
+// candidates are scored on the same stream, so when core.SameRuns holds for
+// them (the same nodes, their dual seeds in the same order) every run of
+// upper's estimate would repeat lower's: upper reuses lower's objective, and
+// the solve runs two estimates (lower and ν) instead of three.
 func sandwichSelf(g *graph.Graph, gap core.GAP, seedsB []int32, cfg Config) (*Result, error) {
 	lowerGAP, upperGAP := selfBounds(gap)
 	// The two bound subproblems are independent (separate GAPs, separate
@@ -70,17 +74,19 @@ func sandwichSelf(g *graph.Graph, gap core.GAP, seedsB []int32, cfg Config) (*Re
 
 	est := cfg.estimator(g, gap)
 	score := cfg.selfScore(est, seedsB)
-	cands := []Candidate{
-		{Name: "lower", Seeds: lowerSeeds, Objective: score(lowerSeeds), Stats: lowerStats},
-		{Name: "upper", Seeds: upperSeeds, Objective: score(upperSeeds), Stats: upperStats},
+	lower := Candidate{Name: "lower", Seeds: lowerSeeds, Objective: score(lowerSeeds), Stats: lowerStats}
+	upper := Candidate{Name: "upper", Seeds: upperSeeds, Objective: lower.Objective, Stats: upperStats}
+	if !core.SameRuns(lowerSeeds, upperSeeds, seedsB) {
+		upper.Objective = score(upperSeeds)
 	}
+	cands := []Candidate{lower, upper}
 	if cfg.IncludeGreedy {
 		cands = append(cands, greedyCandidate(g, cfg.selfGreedyObjective(est, seedsB), score, cfg.K, nil))
 	}
 	res := pickBest(cands)
 
 	// σ(S_ν)/ν(S_ν): numerator under original GAPs, denominator under ν.
-	nu := cfg.estimator(g, upperGAP).SpreadA(upperSeeds, seedsB, cfg.EvalRuns, cfg.Seed^upperStream)
+	nu := spreadA(cfg.estimator(g, upperGAP), upperSeeds, seedsB, cfg.EvalRuns, cfg.Seed^upperStream)
 	if nu > 0 {
 		res.UpperRatio = res.Candidates[1].Objective / nu
 	}

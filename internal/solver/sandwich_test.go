@@ -1,11 +1,14 @@
 package solver
 
 import (
+	"sync"
 	"testing"
 
 	"comic/internal/core"
+	"comic/internal/datasets"
 	"comic/internal/exact"
 	"comic/internal/graph"
+	"comic/internal/montecarlo"
 	"comic/internal/rng"
 	"comic/internal/rrset"
 )
@@ -119,6 +122,52 @@ func TestSolveSelfInfMaxSandwich(t *testing.T) {
 	}
 }
 
+// TestSandwichSelfEstimateCount counts the EvalRuns-sized estimates a
+// sandwich SelfInfMax solve runs: lower's, ν's and, unless core.SameRuns
+// says its runs would repeat lower's, upper's. The inputs are
+// TestQPlusGolden's sandwich rows.
+func TestSandwichSelfEstimateCount(t *testing.T) {
+	g := graph.ErdosRenyi(300, 1800, rng.New(31))
+	graph.AssignWeightedCascade(g)
+	estimates := 0
+	orig := spreadA
+	defer func() { spreadA = orig }()
+	spreadA = func(e *montecarlo.Estimator, seedsA, seedsB []int32, runs int, seed uint64) float64 {
+		estimates++
+		return orig(e, seedsA, seedsB, runs, seed)
+	}
+	strict := core.GAP{QA0: 0.3, QAB: 0.8, QB0: 0.4, QBA: 0.9}
+	cases := []struct {
+		name string
+		gap  core.GAP
+		k    int
+		seed uint64
+		opp  []int32
+		want int
+	}{
+		{"different sets", strict, 4, 7, []int32{0, 1, 2}, 3},
+		{"identical slices", strict, 2, 6, []int32{220, 255, 1, 281}, 2},
+		{"dual seeds in the same order", core.GAP{QA0: 0.7, QAB: 0.95, QB0: 0.6, QBA: 0.9}, 3, 6, []int32{92, 222, 13, 52, 198}, 2},
+		{"dual seeds swapped", strict, 2, 6, []int32{215, 233, 228}, 3},
+	}
+	for _, tc := range cases {
+		cfg := testConfig(tc.k)
+		cfg.Seed = tc.seed
+		estimates = 0
+		res, err := SolveSelfInfMax(g, tc.gap, tc.opp, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		lower, upper := res.Candidates[0], res.Candidates[1]
+		if reuse := core.SameRuns(lower.Seeds, upper.Seeds, tc.opp); reuse != (tc.want == 2) {
+			t.Fatalf("%s: SameRuns(%v, %v) = %v", tc.name, lower.Seeds, upper.Seeds, reuse)
+		}
+		if estimates != tc.want {
+			t.Errorf("%s: solve ran %d estimates, want %d", tc.name, estimates, tc.want)
+		}
+	}
+}
+
 func TestSolveSelfInfMaxWithGreedy(t *testing.T) {
 	g := graph.Star(20, 1)
 	gap := core.GAP{QA0: 0.3, QAB: 0.8, QB0: 0.4, QBA: 0.9}
@@ -169,5 +218,58 @@ func TestSolveCompInfMax(t *testing.T) {
 	}
 	if res.UpperRatio <= 0 || res.UpperRatio > 1.1 {
 		t.Fatalf("ratio %v out of range", res.UpperRatio)
+	}
+}
+
+// mapProvider serves each collection from a map once built, like a warm
+// index with no budget.
+type mapProvider struct {
+	mu   sync.Mutex
+	cols map[string]*rrset.Collection
+}
+
+func (p *mapProvider) Collection(req rrset.CollectionRequest) (*rrset.Collection, error) {
+	key := req.Key()
+	p.mu.Lock()
+	col, ok := p.cols[key]
+	p.mu.Unlock()
+	if ok {
+		return col, nil
+	}
+	col, err := req.Build()
+	if err != nil {
+		return nil, err
+	}
+	p.mu.Lock()
+	p.cols[key] = col
+	p.mu.Unlock()
+	return col, nil
+}
+
+// BenchmarkSandwichSelfWarm is one warm sandwich SelfInfMax solve: the
+// first SelfInfMax config of loadbench's warm-solve workload (Flixster
+// stand-in at scale 0.02, k 10, evalRuns 1000), whose lower and upper
+// candidates coincide, with both bound collections already built. Its time
+// is seed selection and Monte-Carlo scoring.
+func BenchmarkSandwichSelfWarm(b *testing.B) {
+	d := datasets.Flixster(0.02, 1)
+	opp := []int32{78, 234, 24, 128, 233, 31, 2, 208, 8, 246}
+	cfg := NewConfig(10)
+	cfg.EvalRuns = 1000
+	cfg.Seed = 1390705561
+	cfg.Collections = &mapProvider{cols: map[string]*rrset.Collection{}}
+	res, err := SolveSelfInfMax(d.Graph, d.GAP, opp, cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	if lower, upper := res.Candidates[0].Seeds, res.Candidates[1].Seeds; res.Plan.Algorithm != AlgoSandwich || !core.SameRuns(lower, upper, opp) {
+		b.Fatalf("%s solve with candidates %v and %v shares no estimate", res.Plan.Algorithm, lower, upper)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := SolveSelfInfMax(d.Graph, d.GAP, opp, cfg); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

@@ -22,7 +22,10 @@
 //     approximation guarantee exists there, and CELF's lazy evaluation is
 //     only exact under the submodularity these regimes lack — but a
 //     principled one: it is the paper's Greedy baseline with a
-//     degree-capped ground set.
+//     degree-capped ground set. One cell of those regimes is the exception:
+//     with q_{A|∅} = q_{B|∅} = 1, σ_A is monotone (Theorem 3) and
+//     submodular (Theorem 11), so there the greedy keeps its (1−1/e)
+//     factor over the capped ground set, up to Monte-Carlo error.
 //   - A closed-form shortcut for CompInfMax when A is indifferent to B: the
 //     boost objective is identically zero, so any k nodes are exactly
 //     optimal and no simulation needs to run.
@@ -89,10 +92,11 @@ type Plan struct {
 }
 
 const (
-	guaranteeTIM      = "(1-1/e-eps) w.h.p. (submodular objective, exact RR sets)"
-	guaranteeSandwich = "data-dependent sandwich factor (Theorem 9)"
-	guaranteeGreedy   = "heuristic (objective not submodular in this regime)"
-	guaranteeExact    = "exact (objective identically zero for every seed set)"
+	guaranteeTIM       = "(1-1/e-eps) w.h.p. (submodular objective, exact RR sets)"
+	guaranteeSandwich  = "data-dependent sandwich factor (Theorem 9)"
+	guaranteeGreedy    = "heuristic (objective not submodular in this regime)"
+	guaranteeTheorem11 = "(1-1/e) over the capped ground set, up to Monte-Carlo error (monotone submodular objective, Theorems 3 and 11)"
+	guaranteeExact     = "exact (objective identically zero for every seed set)"
 )
 
 // PlanSelfInfMax classifies gap and plans the SelfInfMax route. The
@@ -116,6 +120,13 @@ func PlanSelfInfMax(gap core.GAP) Plan {
 		p.Algorithm = AlgoRRSIMPlus
 		p.Guarantee = guaranteeTIM
 		p.Reason = "A is indifferent to B, so sigma_A ignores the B process entirely; solved as the equivalent B-indifferent instance"
+	case gap.QA0 == 1 && gap.QB0 == 1:
+		// Here q_{A|B} < 1 and q_{B|A} <= 1: strict competition, or its
+		// boundary where B ignores A. Theorem 11 covers both, and
+		// TestTheorem11P2HomogeneousCompetition checks both world by world.
+		p.Algorithm = AlgoMCGreedy
+		p.Guarantee = guaranteeTheorem11
+		p.Reason = "q_{A|0} = q_{B|0} = 1: sigma_A is monotone (Theorem 3) and submodular (Theorem 11), so the CELF Monte-Carlo greedy on the original objective keeps the greedy's (1-1/e) factor"
 	default:
 		p.Algorithm = AlgoMCGreedy
 		p.Guarantee = guaranteeGreedy
@@ -271,11 +282,15 @@ func (c Config) estimator(g *graph.Graph, gap core.GAP) *montecarlo.Estimator {
 	return est
 }
 
+// spreadA runs one EvalRuns-sized SelfInfMax estimate. Tests wrap it to
+// count the estimates a solve runs.
+var spreadA = (*montecarlo.Estimator).SpreadA
+
 // selfScore returns σ_A(·, seedsB) at the evaluation budget: the score
 // every SelfInfMax candidate is ranked by.
 func (c Config) selfScore(est *montecarlo.Estimator, seedsB []int32) func([]int32) float64 {
 	return func(s []int32) float64 {
-		return est.SpreadA(s, seedsB, c.EvalRuns, c.Seed^evalStream)
+		return spreadA(est, s, seedsB, c.EvalRuns, c.Seed^evalStream)
 	}
 }
 

@@ -15,28 +15,35 @@ import (
 
 func TestPlannerRoutes(t *testing.T) {
 	cases := []struct {
-		name     string
-		gap      core.GAP
-		selfAlgo Algorithm
-		compAlgo Algorithm
-		regime   core.Regime
+		name               string
+		gap                core.GAP
+		selfAlgo           Algorithm
+		compAlgo           Algorithm
+		regime             core.Regime
+		selfGuar, compGuar string
 	}{
 		{"strict Q+", core.GAP{QA0: 0.3, QAB: 0.8, QB0: 0.4, QBA: 0.9},
-			AlgoSandwich, AlgoSandwich, core.RegimeQPlus},
+			AlgoSandwich, AlgoSandwich, core.RegimeQPlus, guaranteeSandwich, guaranteeSandwich},
 		{"B-indifferent Q+", core.GAP{QA0: 0.3, QAB: 0.8, QB0: 0.4, QBA: 0.4},
-			AlgoRRSIMPlus, AlgoSandwich, core.RegimeOneWayComplementarity},
+			AlgoRRSIMPlus, AlgoSandwich, core.RegimeOneWayComplementarity, guaranteeTIM, guaranteeSandwich},
 		{"A-indifferent Q+ stays sandwich", core.GAP{QA0: 0.5, QAB: 0.5, QB0: 0.4, QBA: 0.9},
-			AlgoSandwich, AlgoSandwich, core.RegimeOneWayComplementarity},
+			AlgoSandwich, AlgoSandwich, core.RegimeOneWayComplementarity, guaranteeSandwich, guaranteeSandwich},
 		{"mutual indifference", core.GAP{QA0: 0.5, QAB: 0.5, QB0: 0.4, QBA: 0.4},
-			AlgoRRSIMPlus, AlgoSandwich, core.RegimeIndifference},
+			AlgoRRSIMPlus, AlgoSandwich, core.RegimeIndifference, guaranteeTIM, guaranteeSandwich},
 		{"A-indifferent, A blocks B", core.GAP{QA0: 0.5, QAB: 0.5, QB0: 0.9, QBA: 0.2},
-			AlgoRRSIMPlus, AlgoZeroBoost, core.RegimeOneWaySuppression},
+			AlgoRRSIMPlus, AlgoZeroBoost, core.RegimeOneWaySuppression, guaranteeTIM, guaranteeExact},
 		{"B blocks A, B indifferent", core.GAP{QA0: 0.9, QAB: 0.2, QB0: 0.4, QBA: 0.4},
-			AlgoMCGreedy, AlgoMCGreedy, core.RegimeOneWaySuppression},
-		{"pure competition", core.PureCompetition(),
-			AlgoMCGreedy, AlgoMCGreedy, core.RegimeCompetition},
+			AlgoMCGreedy, AlgoMCGreedy, core.RegimeOneWaySuppression, guaranteeGreedy, guaranteeGreedy},
+		{"competition", core.GAP{QA0: 0.8, QAB: 0.2, QB0: 0.7, QBA: 0.1},
+			AlgoMCGreedy, AlgoMCGreedy, core.RegimeCompetition, guaranteeGreedy, guaranteeGreedy},
+		{"pure competition (Theorem 11)", core.PureCompetition(),
+			AlgoMCGreedy, AlgoMCGreedy, core.RegimeCompetition, guaranteeTheorem11, guaranteeGreedy},
+		{"homogeneous competition (Theorem 11)", core.GAP{QA0: 1, QAB: 0.3, QB0: 1, QBA: 0.2},
+			AlgoMCGreedy, AlgoMCGreedy, core.RegimeCompetition, guaranteeTheorem11, guaranteeGreedy},
+		{"B blocks A, B ignores A (Theorem 11)", core.GAP{QA0: 1, QAB: 0.3, QB0: 1, QBA: 1},
+			AlgoMCGreedy, AlgoMCGreedy, core.RegimeOneWaySuppression, guaranteeTheorem11, guaranteeGreedy},
 		{"general mixed", core.GAP{QA0: 0.3, QAB: 0.8, QB0: 0.9, QBA: 0.4},
-			AlgoMCGreedy, AlgoMCGreedy, core.RegimeGeneral},
+			AlgoMCGreedy, AlgoMCGreedy, core.RegimeGeneral, guaranteeGreedy, guaranteeGreedy},
 	}
 	for _, tc := range cases {
 		self, comp := PlanSelfInfMax(tc.gap), PlanCompInfMax(tc.gap)
@@ -49,8 +56,11 @@ func TestPlannerRoutes(t *testing.T) {
 		if self.Regime != tc.regime || comp.Regime != tc.regime {
 			t.Errorf("%s: regimes %v/%v, want %v", tc.name, self.Regime, comp.Regime, tc.regime)
 		}
-		if self.Guarantee == "" || comp.Guarantee == "" || self.Reason == "" || comp.Reason == "" {
-			t.Errorf("%s: plan missing guarantee or reason", tc.name)
+		if self.Guarantee != tc.selfGuar || comp.Guarantee != tc.compGuar {
+			t.Errorf("%s: guarantees %q/%q, want %q/%q", tc.name, self.Guarantee, comp.Guarantee, tc.selfGuar, tc.compGuar)
+		}
+		if self.Reason == "" || comp.Reason == "" {
+			t.Errorf("%s: plan missing reason", tc.name)
 		}
 	}
 }
