@@ -202,7 +202,7 @@ func BenchmarkAblationSIMvsSIMPlus(b *testing.B) {
 			}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				rrset.Collect(gen, 2000, 0, uint64(i))
+				rrset.BuildCollection(gen, d.Graph.M(), 10, rrset.Options{FixedTheta: 2000}, uint64(i))
 			}
 			c := gen.Counters()
 			b.ReportMetric(float64(c.EdgesForward)/float64(c.Sets), "fwd-edges/set")
@@ -321,7 +321,7 @@ func BenchmarkSelectSeeds(b *testing.B) {
 	b.ReportMetric(float64(col.Bytes()), "collection-bytes")
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		rrset.SelectSeeds(col, d.Graph.N(), 50)
+		rrset.SelectSeeds(col, 50)
 	}
 }
 

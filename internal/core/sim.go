@@ -121,19 +121,14 @@ func (s *Simulator) SetGAP(gap GAP) {
 
 // SetWorld switches the simulator to deterministic world mode (nil reverts
 // to lazy mode). The world must have been sampled for the simulator's
-// graph. World mode is incompatible with per-item edge probabilities.
+// graph (World.MustFit panics otherwise). World mode is incompatible with
+// per-item edge probabilities.
 func (s *Simulator) SetWorld(w *World) {
 	if w != nil {
 		if s.probA != nil {
 			panic("core: world mode is incompatible with per-item edge probabilities")
 		}
-		n, m := s.g.N(), s.g.M()
-		if len(w.EdgeLive) != m || len(w.EdgeRank) != m ||
-			len(w.AlphaA) != n || len(w.AlphaB) != n || len(w.SeedFirst) != n {
-			panic(fmt.Sprintf("core: world was not sampled for this graph (%d edges, %d nodes): "+
-				"EdgeLive/EdgeRank have %d/%d entries, AlphaA/AlphaB/SeedFirst have %d/%d/%d",
-				m, n, len(w.EdgeLive), len(w.EdgeRank), len(w.AlphaA), len(w.AlphaB), len(w.SeedFirst)))
-		}
+		w.MustFit(s.g)
 	}
 	s.world = w
 }

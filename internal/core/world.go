@@ -1,6 +1,8 @@
 package core
 
 import (
+	"fmt"
+
 	"comic/internal/graph"
 	"comic/internal/rng"
 )
@@ -56,6 +58,21 @@ func (w *World) Resample(g *graph.Graph, r *rng.RNG) {
 		} else {
 			w.SeedFirst[v] = B
 		}
+	}
+}
+
+// MustFit panics unless w was sampled for g: g.M() entries in EdgeLive and
+// EdgeRank, g.N() in AlphaA, AlphaB and SeedFirst. A world sampled for a
+// larger graph would otherwise run silently on the wrong draws, and one
+// sampled for a smaller graph would fail deep inside a cascade or an RR-set
+// build worker with a bare index-out-of-range error.
+func (w *World) MustFit(g *graph.Graph) {
+	n, m := g.N(), g.M()
+	if len(w.EdgeLive) != m || len(w.EdgeRank) != m ||
+		len(w.AlphaA) != n || len(w.AlphaB) != n || len(w.SeedFirst) != n {
+		panic(fmt.Sprintf("core: world was not sampled for this graph (%d edges, %d nodes): "+
+			"EdgeLive/EdgeRank have %d/%d entries, AlphaA/AlphaB/SeedFirst have %d/%d/%d",
+			m, n, len(w.EdgeLive), len(w.EdgeRank), len(w.AlphaA), len(w.AlphaB), len(w.SeedFirst)))
 	}
 }
 

@@ -183,8 +183,8 @@ func (r OppositeRegime) String() string {
 // vanillaRank computes the VanillaIC seed ranking of length k: TIM under
 // classic IC, ignoring the NLA.
 func (c Config) vanillaRank(g *graph.Graph, k int, seed uint64) []int32 {
-	gen := rrset.NewIC(g)
-	sel, _ := rrset.GeneralTIM(gen, g.M(), k, c.timOptions(), seed)
+	col := rrset.BuildCollection(rrset.NewIC(g), g.M(), k, c.timOptions(), seed)
+	sel, _ := rrset.SelectSeeds(col, k)
 	return sel
 }
 

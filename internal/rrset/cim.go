@@ -27,7 +27,7 @@ const (
 // q_{A|∅} ≤ q_{A|B} and q_{B|∅} ≤ q_{B|A} = 1 (Theorem 8); the sandwich
 // upper bound of §6.4 raises q_{B|A} to 1 for general Q+.
 type CIM struct {
-	s      sampler
+	base
 	gap    core.GAP
 	seedsA []int32
 
@@ -43,8 +43,6 @@ type CIM struct {
 
 	queue  []int32
 	squeue []int32
-
-	counters Counters
 }
 
 // NewCIM returns an RR-CIM generator. It rejects GAPs outside the
@@ -62,9 +60,15 @@ func NewCIM(g *graph.Graph, gap core.GAP, seedsA []int32) (*CIM, error) {
 	if err := checkSeedRange(seedsA, g.N()); err != nil {
 		return nil, err
 	}
+	return newCIM(g, gap, seedsA, nil), nil
+}
+
+// newCIM is NewCIM for inputs it has accepted, reading world (nil samples
+// lazily); Clone passes its own.
+func newCIM(g *graph.Graph, gap core.GAP, seedsA []int32, world *core.World) *CIM {
 	n := g.N()
 	return &CIM{
-		s:          newSampler(g),
+		base:       newBase(g, world),
 		gap:        gap,
 		seedsA:     append([]int32(nil), seedsA...),
 		label:      make([]uint8, n),
@@ -74,27 +78,11 @@ func NewCIM(g *graph.Graph, gap core.GAP, seedsA []int32) (*CIM, error) {
 		sf:         newMarker(n),
 		sb:         newMarker(n),
 		inR:        newMarker(n),
-	}, nil
+	}
 }
-
-// N implements Generator.
-func (c *CIM) N() int { return c.s.g.N() }
-
-// SetWorld implements Generator.
-func (c *CIM) SetWorld(w *core.World) { c.s.world = w }
-
-// Counters implements Generator.
-func (c *CIM) Counters() *Counters { return &c.counters }
 
 // Clone implements Generator.
-func (c *CIM) Clone() Generator {
-	n, err := NewCIM(c.s.g, c.gap, c.seedsA)
-	if err != nil {
-		panic(err)
-	}
-	n.s.world = c.s.world
-	return n
-}
+func (c *CIM) Clone() Generator { return newCIM(c.s.g, c.gap, c.seedsA, c.s.world) }
 
 func (c *CIM) labelOf(v int32) uint8 {
 	if c.labelStamp[v] != c.labelEpoch {

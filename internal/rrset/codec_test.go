@@ -55,8 +55,8 @@ func TestSnapshotRoundTripBuilt(t *testing.T) {
 		t.Fatalf("restored Bytes() %d != original %d (arena not exact-size)",
 			got.Collection.Bytes(), s.Collection.Bytes())
 	}
-	wantSeeds, _ := SelectSeeds(s.Collection, s.GraphN, 5)
-	gotSeeds, _ := SelectSeeds(got.Collection, s.GraphN, 5)
+	wantSeeds, _ := SelectSeeds(s.Collection, 5)
+	gotSeeds, _ := SelectSeeds(got.Collection, 5)
 	if !reflect.DeepEqual(wantSeeds, gotSeeds) {
 		t.Fatalf("selection from restored collection %v != original %v", gotSeeds, wantSeeds)
 	}
@@ -92,9 +92,7 @@ func TestSnapshotRoundTripEmptyAndSingle(t *testing.T) {
 			nodes:      []int32{1, 0},
 			roots:      []int32{1},
 			widths:     []int64{3},
-			Theta:      1,
-			TotalNodes: 2,
-			TotalWidth: 3,
+			BuildStats: BuildStats{Theta: 1, TotalNodes: 2, TotalWidth: 3},
 		}, 3, 2},
 	}
 	for _, tc := range cases {
@@ -123,19 +121,21 @@ func TestSnapshotLargeHeaderValues(t *testing.T) {
 	// through int or uint32 anywhere would corrupt multi-GiB collections.
 	big := int64(3) << 31 // > 2 GiB
 	col := &Collection{
-		offsets:     []int64{0, 1, 2},
-		nodes:       []int32{0, 1},
-		roots:       []int32{0, 1},
-		widths:      []int64{big, big + 7},
-		Theta:       2,
-		TotalNodes:  2,
-		TotalWidth:  2*big + 7,
-		Explored:    Counters{EdgesForward: big + 1, EdgesBackward: big + 2, Sets: 2},
-		ExploredKPT: Counters{EdgesSecondary: big + 3},
-		KPTDuration: time.Duration(big + 11),
-		GenDuration: time.Duration(big + 13),
-		KPT:         1e12,
-		Lambda:      2.5e18,
+		offsets: []int64{0, 1, 2},
+		nodes:   []int32{0, 1},
+		roots:   []int32{0, 1},
+		widths:  []int64{big, big + 7},
+		BuildStats: BuildStats{
+			Theta:       2,
+			TotalNodes:  2,
+			TotalWidth:  2*big + 7,
+			Explored:    Counters{EdgesForward: big + 1, EdgesBackward: big + 2, Sets: 2},
+			ExploredKPT: Counters{EdgesSecondary: big + 3},
+			KPTDuration: time.Duration(big + 11),
+			GenDuration: time.Duration(big + 13),
+			KPT:         1e12,
+			Lambda:      2.5e18,
+		},
 	}
 	// ReadCollection always rebuilds the coverage index; give the hand-made
 	// original one too so DeepEqual compares the full in-memory shape.
@@ -259,7 +259,7 @@ func TestSnapshotIgnoresTrailingSections(t *testing.T) {
 		return b.Bytes()
 	}
 	// CORD: version, bindCRC, maxK, seeds, per-prefix covered counts.
-	seeds, _ := SelectSeeds(s.Collection, s.GraphN, 5)
+	seeds, _ := SelectSeeds(s.Collection, 5)
 	order := section("CORD", uint32(1), mainCRC, int64(len(seeds)), seeds, make([]int64, len(seeds)))
 	// CPST: version, bindCRC, set/edge/node counts, two offset arrays.
 	postings := section("CPST", uint32(1), mainCRC, theta, int64(0), int64(0),
@@ -288,11 +288,11 @@ func FuzzReadCollection(f *testing.F) {
 		{Key: "k", GraphID: "g#1", GraphN: 0, GraphM: 0, Collection: &Collection{}},
 		{Key: "single", GraphID: "g#1", GraphN: 3, GraphM: 2, Collection: &Collection{
 			offsets: []int64{0, 2}, nodes: []int32{1, 0}, roots: []int32{1}, widths: []int64{3},
-			Theta: 1, TotalNodes: 2, TotalWidth: 3,
+			BuildStats: BuildStats{Theta: 1, TotalNodes: 2, TotalWidth: 3},
 		}},
 		{Key: "wide", GraphID: "g#2", GraphN: 2, GraphM: 1, Collection: &Collection{
 			offsets: []int64{0, 1}, nodes: []int32{0}, roots: []int32{1}, widths: []int64{int64(5) << 31},
-			Theta: 1, TotalNodes: 1, TotalWidth: int64(5) << 31,
+			BuildStats: BuildStats{Theta: 1, TotalNodes: 1, TotalWidth: int64(5) << 31},
 		}},
 	}
 	for _, s := range smalls {
@@ -315,8 +315,6 @@ func FuzzReadCollection(f *testing.F) {
 		for i := 0; i < col.Len(); i++ {
 			_ = col.Set(i)
 		}
-		if s.GraphN > 0 {
-			SelectSeeds(col, s.GraphN, 2)
-		}
+		SelectSeeds(col, 2)
 	})
 }

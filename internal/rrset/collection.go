@@ -46,10 +46,16 @@ type Collection struct {
 
 	// cover is the packed inverted coverage index (node -> containing set
 	// ids), built once per collection on top of the arena buffers so every
-	// selection reuses it. nil only on hand-assembled
-	// collections; selection then builds an ephemeral one (coverFor).
+	// selection reuses it. nil only on the zero Collection, which selects
+	// no seeds.
 	cover *coverIndex
 
+	BuildStats
+}
+
+// BuildStats records how a collection was generated. Collection and Stats
+// both embed it, so a selection reports its collection's build as is.
+type BuildStats struct {
 	// Theta is the RR-set budget that was generated (Eq. 3, or FixedTheta).
 	Theta int
 	// KPT is the estimated lower bound of OPT_k (0 when FixedTheta was set).
@@ -148,62 +154,27 @@ func BuildCollection(gen Generator, m, k int, opts Options, seed uint64) *Collec
 	return col
 }
 
-// CollectionFromSets packs independently allocated RR sets (e.g. Collect's
-// output, or hand-built test fixtures) into a collection in flat arena
-// form, with the coverage index built for a graph of n nodes. The packed
-// sets are node-for-node identical to the input; only the memory layout
-// differs. Generation statistics (KPT, counters, durations) are zero — the
-// serving path builds collections with BuildCollection instead.
-func CollectionFromSets(sets []RRSet, n int) *Collection {
-	col := &Collection{Theta: len(sets)}
-	col.offsets = make([]int64, len(sets)+1)
-	col.roots = make([]int32, len(sets))
-	col.widths = make([]int64, len(sets))
-	total := int64(0)
-	for i := range sets {
-		total += int64(len(sets[i].Nodes))
-		col.offsets[i+1] = total
-		col.roots[i] = sets[i].Root
-		col.widths[i] = sets[i].Width
-		col.TotalWidth += sets[i].Width
-	}
-	col.nodes = make([]int32, total)
-	for i := range sets {
-		copy(col.nodes[col.offsets[i]:col.offsets[i+1]], sets[i].Nodes)
-	}
-	col.TotalNodes = total
-	col.cover = buildCoverIndex(col.offsets, col.nodes, n)
-	return col
-}
-
-// SelectSeeds runs the selection half of GeneralTIM (CELF lazy-greedy max
-// coverage, Algorithm 1 lines 4-8) over a prebuilt collection. It never
-// mutates col, so many queries may select from one shared collection
-// concurrently.
-func SelectSeeds(col *Collection, n, k int) ([]int32, *Stats) {
-	if k > n {
-		k = n
-	}
-	st := &Stats{
-		Theta:       col.Theta,
-		KPT:         col.KPT,
-		Lambda:      col.Lambda,
-		TotalNodes:  col.TotalNodes,
-		TotalWidth:  col.TotalWidth,
-		Explored:    col.Explored,
-		ExploredKPT: col.ExploredKPT,
-		KPTDuration: col.KPTDuration,
-		GenDuration: col.GenDuration,
+// SelectSeeds runs the selection half of GeneralTIM (Algorithm 1 lines
+// 4-8) over a built collection: CELF lazy-greedy max coverage picks k
+// distinct nodes of the collection's graph covering the most RR sets. If
+// every set is covered before k seeds are chosen, the rest are the
+// lowest-id unchosen nodes (zero marginal gain), so there are min(k, n)
+// seeds. It never mutates col, so many queries may select from one shared
+// collection concurrently.
+func SelectSeeds(col *Collection, k int) ([]int32, *Stats) {
+	st := &Stats{BuildStats: col.BuildStats}
+	if col.cover == nil {
+		return nil, st
 	}
 	//comic:timing reported phase duration; never feeds seed selection
 	t := time.Now()
-	seeds, covered := celfCover(col.coverFor(n), col.offsets, col.nodes, k)
+	seeds, covered := celfCover(col.cover, col.offsets, col.nodes, k)
 	//comic:timing reported phase duration; never feeds seed selection
 	st.SelectDuration = time.Since(t)
 	if col.Len() > 0 {
 		st.Coverage = float64(covered) / float64(col.Len())
 	}
-	st.SpreadEstimate = float64(n) * st.Coverage
+	st.SpreadEstimate = float64(col.cover.n) * st.Coverage
 	return seeds, st
 }
 

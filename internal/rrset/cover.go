@@ -50,30 +50,21 @@ func (c *coverIndex) bytes() int64 {
 	return int64(unsafe.Sizeof(*c)) + 8*int64(cap(c.off)) + 4*int64(cap(c.sets))
 }
 
-// coverFor returns the collection's prebuilt coverage index when it matches
-// the requested node domain, or an ephemeral one otherwise (hand-assembled
-// collections, or a caller selecting under a different n).
-func (c *Collection) coverFor(n int) *coverIndex {
-	if c.cover != nil && c.cover.n == n {
-		return c.cover
-	}
-	return buildCoverIndex(c.offsets, c.nodes, n)
-}
-
-// celfCover is the CELF lazy-greedy max-coverage core over a packed
-// coverage index, shared by SelectSeeds and SelectMaxCoverage. Coverage is
-// tracked in a word-packed bitset over set ids.
+// celfCover is SelectSeeds' CELF lazy-greedy max-coverage core over a
+// packed coverage index. It returns min(k, cov.n) seeds and the number of
+// sets they cover. Coverage is tracked in a word-packed bitset over set
+// ids.
 //
 // Marginal gains only shrink as sets become covered (coverage counts are
 // monotone decreasing), so a popped entry whose cached gain is still
 // current is the true argmax and stale entries just get their key refreshed
 // and sifted back — the classic CELF argument, specialized to integer
 // coverage counts. Output is identical to the eager argmax scan by
-// construction (ties break to the lowest node id via lazyKey);
-// TestSelectMaxCoverageMatchesScan and internal/rrset/ordertest pin this
-// against the retained SelectMaxCoverageScan oracle.
+// construction (ties break to the lowest node id via lazyKey); the tests
+// pin this against an eager argmax scan kept as their oracle.
 func celfCover(cov *coverIndex, offsets []int64, nodes []int32, k int) ([]int32, int) {
 	n := cov.n
+	k = min(k, n)
 	numSets := len(offsets) - 1
 	if numSets < 0 {
 		numSets = 0
@@ -139,3 +130,16 @@ func celfCover(cov *coverIndex, offsets []int64, nodes []int32, k int) ([]int32,
 	}
 	return seeds, totalCovered
 }
+
+// lazyKey packs one CELF priority-queue entry into a uint64 that orders by
+// (cached marginal gain descending, node id ascending): the gain fills the
+// high 32 bits and the bitwise complement of the node id the low 32, so the
+// numerically largest key is the highest-gain, lowest-id entry — the same
+// node the full argmax scan this queue replaced would have picked, ties
+// included.
+func lazyKey(gain int32, node int32) uint64 {
+	return uint64(uint32(gain))<<32 | uint64(^uint32(node))
+}
+
+func lazyGain(key uint64) int32 { return int32(uint32(key >> 32)) }
+func lazyNode(key uint64) int32 { return int32(^uint32(key)) }

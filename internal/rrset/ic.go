@@ -10,32 +10,21 @@ import (
 // Tang et al. [24]): a plain backward BFS over live edges. It powers the
 // VanillaIC baseline of §7.1, which ignores the NLA entirely.
 type IC struct {
-	s        sampler
-	visited  marker
-	queue    []int32
-	counters Counters
+	base
+	visited marker
+	queue   []int32
 }
 
 // NewIC returns an IC RR-set generator for g.
-func NewIC(g *graph.Graph) *IC {
-	return &IC{s: newSampler(g), visited: newMarker(g.N())}
+func NewIC(g *graph.Graph) *IC { return newIC(g, nil) }
+
+// newIC is NewIC reading world (nil samples lazily); Clone passes its own.
+func newIC(g *graph.Graph, world *core.World) *IC {
+	return &IC{base: newBase(g, world), visited: newMarker(g.N())}
 }
-
-// N implements Generator.
-func (ic *IC) N() int { return ic.s.g.N() }
-
-// SetWorld implements Generator.
-func (ic *IC) SetWorld(w *core.World) { ic.s.world = w }
-
-// Counters implements Generator.
-func (ic *IC) Counters() *Counters { return &ic.counters }
 
 // Clone implements Generator.
-func (ic *IC) Clone() Generator {
-	c := NewIC(ic.s.g)
-	c.s.world = ic.s.world
-	return c
-}
+func (ic *IC) Clone() Generator { return newIC(ic.s.g, ic.s.world) }
 
 // Generate implements Generator.
 func (ic *IC) Generate(root int32, r *rng.RNG, out *RRSet) {

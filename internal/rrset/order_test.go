@@ -1,4 +1,11 @@
-package ordertest
+package rrset
+
+// The differential harness pinning CELF seed selection to the eager argmax
+// oracle: across all six GAP regimes, randomized property tests assert that
+// SelectSeeds, the CELF lazy-greedy production path over a collection's
+// coverage index, selects seed-for-seed what selectMaxCoverageScan, the
+// pre-CELF eager argmax scan kept here as the ground truth, selects on the
+// same collection.
 
 import (
 	"fmt"
@@ -10,8 +17,91 @@ import (
 	"comic/internal/core"
 	"comic/internal/graph"
 	"comic/internal/rng"
-	"comic/internal/rrset"
 )
+
+// collectionFromSets packs hand-built RR sets into a collection over n
+// nodes, coverage index included, in the arena layout BuildCollection
+// gives the sets it draws. Of the build statistics only θ and the totals
+// are set.
+func collectionFromSets(sets []RRSet, n int) *Collection {
+	col := &Collection{
+		offsets: make([]int64, len(sets)+1),
+		roots:   make([]int32, len(sets)),
+		widths:  make([]int64, len(sets)),
+	}
+	for i := range sets {
+		col.nodes = append(col.nodes, sets[i].Nodes...)
+		col.offsets[i+1] = int64(len(col.nodes))
+		col.roots[i] = sets[i].Root
+		col.widths[i] = sets[i].Width
+		col.TotalWidth += sets[i].Width
+	}
+	col.Theta = len(sets)
+	col.TotalNodes = int64(len(col.nodes))
+	col.cover = buildCoverIndex(col.offsets, col.nodes, n)
+	return col
+}
+
+// selectMaxCoverageScan is the pre-CELF eager implementation of greedy max
+// coverage: a full argmax scan over all n nodes per selected seed, on an
+// inverted index of its own. It is the oracle SelectSeeds must match
+// seed-for-seed, ties included (lowest node id wins). It returns the seeds
+// and the number of sets they cover.
+func selectMaxCoverageScan(sets []RRSet, n, k int) ([]int32, int) {
+	degree := make([]int32, n)
+	for i := range sets {
+		for _, v := range sets[i].Nodes {
+			degree[v]++
+		}
+	}
+	offsets := make([]int64, n+1)
+	for v := 0; v < n; v++ {
+		offsets[v+1] = offsets[v] + int64(degree[v])
+	}
+	occ := make([]int32, offsets[n])
+	cursor := make([]int64, n)
+	copy(cursor, offsets[:n])
+	for i := range sets {
+		for _, v := range sets[i].Nodes {
+			occ[cursor[v]] = int32(i)
+			cursor[v]++
+		}
+	}
+
+	covered := make([]bool, len(sets))
+	count := make([]int32, n)
+	copy(count, degree)
+	chosen := make([]bool, n)
+	seeds := make([]int32, 0, k)
+	totalCovered := 0
+	for len(seeds) < k {
+		best := int32(-1)
+		for v := int32(0); v < int32(n); v++ {
+			if chosen[v] {
+				continue
+			}
+			if best < 0 || count[v] > count[best] {
+				best = v
+			}
+		}
+		if best < 0 {
+			break // k > n
+		}
+		chosen[best] = true
+		seeds = append(seeds, best)
+		for _, si := range occ[offsets[best]:offsets[best+1]] {
+			if covered[si] {
+				continue
+			}
+			covered[si] = true
+			totalCovered++
+			for _, u := range sets[si].Nodes {
+				count[u]--
+			}
+		}
+	}
+	return seeds, totalCovered
+}
 
 // instancesPerRegime is the number of randomized instances checked per GAP
 // regime. Each instance cross-checks several k values against two
@@ -66,22 +156,22 @@ func sampleGAP(regime core.Regime, r *rng.RNG) core.GAP {
 // RR-CIM on its exactness region, plain IC everywhere else. The selection
 // machinery under test is generator-agnostic; the fallback just keeps every
 // regime's collections well-defined.
-func generatorFor(t *testing.T, g *graph.Graph, gap core.GAP, opposite []int32) rrset.Generator {
+func generatorFor(t *testing.T, g *graph.Graph, gap core.GAP, opposite []int32) Generator {
 	if gap.QB0 == gap.QBA && gap.QA0 <= gap.QAB {
-		gen, err := rrset.NewSIMPlus(g, gap, opposite)
+		gen, err := NewSIMPlus(g, gap, opposite)
 		if err != nil {
 			t.Fatalf("NewSIMPlus(%+v): %v", gap, err)
 		}
 		return gen
 	}
 	if gap.MutuallyComplementary() && gap.QBA == 1 {
-		gen, err := rrset.NewCIM(g, gap, opposite)
+		gen, err := NewCIM(g, gap, opposite)
 		if err != nil {
 			t.Fatalf("NewCIM(%+v): %v", gap, err)
 		}
 		return gen
 	}
-	return rrset.NewIC(g)
+	return NewIC(g)
 }
 
 // checkInstance builds one randomized collection and asserts the two
@@ -104,16 +194,16 @@ func checkInstance(t *testing.T, regime core.Regime, seed uint64) error {
 	if maxK > n {
 		maxK = n
 	}
-	col := rrset.BuildCollection(gen, g.M(), maxK,
-		rrset.Options{FixedTheta: theta, Workers: 1 + r.Intn(4)}, seed^0xc0ffee)
+	col := BuildCollection(gen, g.M(), maxK,
+		Options{FixedTheta: theta, Workers: 1 + r.Intn(4)}, seed^0xc0ffee)
 
-	sets := make([]rrset.RRSet, col.Len())
+	sets := make([]RRSet, col.Len())
 	for i := range sets {
 		sets[i] = col.Set(i)
 	}
 	for _, k := range []int{0, 1, maxK / 2, maxK} {
-		fresh, freshStats := rrset.SelectSeeds(col, n, k)
-		oracle, oracleCovered := rrset.SelectMaxCoverageScan(sets, n, k)
+		fresh, freshStats := SelectSeeds(col, k)
+		oracle, oracleCovered := selectMaxCoverageScan(sets, n, k)
 		// The scan returns up to k seeds without zero-gain padding guarantees
 		// beyond what the loop produces; both implementations pad with
 		// lowest-id unchosen nodes, so full equality is the contract.
@@ -165,12 +255,12 @@ func TestCELFMatchesScanAllRegimes(t *testing.T) {
 // tieCollection assembles RR sets whose coverage counts force exact ties,
 // so the lowest-node-id tie-break — the part of the contract randomized
 // graphs rarely pin — is exercised deterministically.
-func tieCollection(n int, groups [][]int32) *rrset.Collection {
-	sets := make([]rrset.RRSet, len(groups))
+func tieCollection(n int, groups [][]int32) *Collection {
+	sets := make([]RRSet, len(groups))
 	for i, nodes := range groups {
-		sets[i] = rrset.RRSet{Root: nodes[0], Nodes: nodes, Width: int64(len(nodes))}
+		sets[i] = RRSet{Root: nodes[0], Nodes: nodes, Width: int64(len(nodes))}
 	}
-	return rrset.CollectionFromSets(sets, n)
+	return collectionFromSets(sets, n)
 }
 
 func TestCELFForcedTies(t *testing.T) {
@@ -216,13 +306,13 @@ func TestCELFForcedTies(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			col := tieCollection(tc.n, tc.groups)
-			sets := make([]rrset.RRSet, col.Len())
+			sets := make([]RRSet, col.Len())
 			for i := range sets {
 				sets[i] = col.Set(i)
 			}
 			for k := 0; k <= tc.maxK; k++ {
-				oracle, _ := rrset.SelectMaxCoverageScan(sets, tc.n, k)
-				fresh, _ := rrset.SelectSeeds(col, tc.n, k)
+				oracle, _ := selectMaxCoverageScan(sets, tc.n, k)
+				fresh, _ := SelectSeeds(col, k)
 				if !reflect.DeepEqual([]int32(fresh), oracle) {
 					t.Fatalf("k=%d: oracle %v, CELF %v", k, oracle, fresh)
 				}

@@ -2,8 +2,9 @@
 // paper: general RR-sets (Definition 1) for the Com-IC model, the three
 // generation algorithms RR-SIM (Algorithm 2), RR-SIM+ (Algorithm 3) and
 // RR-CIM (Algorithm 4), the classic IC RR-sets used by the VanillaIC
-// baseline, the TIM θ/KPT estimation (Eq. 3, [24]), greedy max-coverage
-// node selection, and the GeneralTIM driver (Algorithm 1).
+// baseline, and GeneralTIM (Algorithm 1) in its two halves: BuildCollection
+// estimates KPT, derives θ (Eq. 3, [24]) and draws θ RR sets; SelectSeeds
+// runs greedy max coverage over the result.
 package rrset
 
 import (
@@ -86,6 +87,29 @@ type Generator interface {
 	Counters() *Counters
 }
 
+// base is embedded by every generator: the sampler its draws come from,
+// its exploration counters, and the Generator methods that need nothing
+// else.
+type base struct {
+	s        sampler
+	counters Counters
+}
+
+// N implements Generator.
+func (b *base) N() int { return b.s.g.N() }
+
+// SetWorld implements Generator. Like core.Simulator.SetWorld it panics on
+// a world sampled for another graph.
+func (b *base) SetWorld(w *core.World) {
+	if w != nil {
+		w.MustFit(b.s.g)
+	}
+	b.s.world = w
+}
+
+// Counters implements Generator.
+func (b *base) Counters() *Counters { return &b.counters }
+
 // sampler provides lazily-sampled, per-generation-memoized randomness
 // (edge coins and α thresholds), or world-injected values.
 type sampler struct {
@@ -105,15 +129,18 @@ type sampler struct {
 	alBStmp []uint32
 }
 
-func newSampler(g *graph.Graph) sampler {
-	return sampler{
+// newBase returns a generator base on g that reads world (nil samples
+// lazily).
+func newBase(g *graph.Graph, world *core.World) base {
+	return base{s: sampler{
 		g:       g,
+		world:   world,
 		eMemo:   make([]uint32, g.M()),
 		alA:     make([]float64, g.N()),
 		alAStmp: make([]uint32, g.N()),
 		alB:     make([]float64, g.N()),
 		alBStmp: make([]uint32, g.N()),
-	}
+	}}
 }
 
 // begin starts a fresh possible world for one RR-set generation.

@@ -3,6 +3,7 @@ package rrset
 import (
 	"math"
 	"sort"
+	"strings"
 	"testing"
 	"unsafe"
 
@@ -30,6 +31,14 @@ func setsEqual(a, b []int32) bool {
 		}
 	}
 	return true
+}
+
+// selectMaxCoverage selects k seeds through SelectSeeds from hand-built
+// sets over n nodes, and returns them with the number of sets they cover.
+func selectMaxCoverage(sets []RRSet, n, k int) ([]int32, int) {
+	col := collectionFromSets(sets, n)
+	seeds, st := SelectSeeds(col, k)
+	return seeds, int(math.Round(st.Coverage * float64(col.Len())))
 }
 
 // bruteForceSelfRR computes RR(root) for SelfInfMax by Definition 1: run
@@ -476,17 +485,62 @@ func TestLnChoose(t *testing.T) {
 }
 
 func TestThetaClamping(t *testing.T) {
-	if Theta(100, 10, 0) != 10 {
-		t.Fatal("theta basic division wrong")
+	for _, c := range []struct {
+		name            string
+		lambda, kpt     float64
+		maxTheta, theta int
+	}{
+		{"division", 100, 10, 0, 10},
+		{"max clamp", 100, 10, 5, 5},
+		{"lower clamp", 0.5, 10, 0, 1},
+		{"KPT below 1", 100, 0.5, 0, 100},
+		// λ/KPT past the int range: the cap, not a wrapped-around 1.
+		{"huge lambda", Lambda(600, 10, 1e-8, 1), 50, 2_000_000, 2_000_000},
+		{"huge lambda, no cap", 1e30, 1, 0, math.MaxInt},
+		// ε² underflows to 0 and λ to +Inf.
+		{"infinite lambda", Lambda(600, 10, 1e-170, 1), 50, 500, 500},
+	} {
+		if got := Theta(c.lambda, c.kpt, c.maxTheta); got != c.theta {
+			t.Errorf("%s: Theta(%v, %v, %d) = %d, want %d", c.name, c.lambda, c.kpt, c.maxTheta, got, c.theta)
+		}
 	}
-	if Theta(100, 10, 5) != 5 {
-		t.Fatal("theta max clamp wrong")
-	}
-	if Theta(0.5, 10, 0) != 1 {
-		t.Fatal("theta lower clamp wrong")
-	}
-	if Theta(100, 0.5, 0) != 100 {
-		t.Fatal("theta must clamp KPT below 1")
+}
+
+// TestSetWorldRejectsMismatchedWorld: every generator kind refuses a world
+// sampled for a larger or a smaller graph, as core.Simulator.SetWorld does,
+// instead of drawing RR sets from the wrong draws or failing on a build
+// worker with an index out of range.
+func TestSetWorldRejectsMismatchedWorld(t *testing.T) {
+	g := graph.PowerLaw(50, 3, 2.16, true, rng.New(1))
+	selfGAP := core.GAP{QA0: 0.3, QAB: 0.8, QB0: 0.5, QBA: 0.5}
+	compGAP := core.GAP{QA0: 0.1, QAB: 0.9, QB0: 0.5, QBA: 1}
+	for _, req := range []CollectionRequest{
+		{Kind: KindIC},
+		{Kind: KindSIM, GAP: selfGAP, Opposite: []int32{1}},
+		{Kind: KindSIMPlus, GAP: selfGAP, Opposite: []int32{1}},
+		{Kind: KindCIM, GAP: compGAP, Opposite: []int32{1}},
+	} {
+		req.Graph = g
+		gen, err := req.NewGenerator()
+		if err != nil {
+			t.Fatal(err)
+		}
+		gen.SetWorld(core.SampleWorld(g, rng.New(2)))
+		for _, other := range []*graph.Graph{
+			graph.PowerLaw(500, 6, 2.16, true, rng.New(3)),
+			graph.PowerLaw(20, 3, 2.16, true, rng.New(4)),
+		} {
+			func() {
+				defer func() {
+					msg, _ := recover().(string)
+					if !strings.Contains(msg, "world was not sampled for this graph") {
+						t.Errorf("%s, world for %d nodes: SetWorld panic = %q, want a world/graph mismatch",
+							req.Kind, other.N(), msg)
+					}
+				}()
+				gen.SetWorld(core.SampleWorld(other, rng.New(5)))
+			}()
+		}
 	}
 }
 
@@ -536,11 +590,11 @@ func TestSelectMaxCoverageHandPicked(t *testing.T) {
 		{Nodes: []int32{1}},
 		{Nodes: []int32{3}},
 	}
-	seeds, covered := SelectMaxCoverage(sets, 4, 1)
+	seeds, covered := selectMaxCoverage(sets, 4, 1)
 	if seeds[0] != 1 || covered != 3 {
 		t.Fatalf("seeds=%v covered=%d, want node 1 covering 3", seeds, covered)
 	}
-	seeds, covered = SelectMaxCoverage(sets, 4, 2)
+	seeds, covered = selectMaxCoverage(sets, 4, 2)
 	if covered != 4 {
 		t.Fatalf("two seeds should cover all: %v covered=%d", seeds, covered)
 	}
@@ -548,27 +602,12 @@ func TestSelectMaxCoverageHandPicked(t *testing.T) {
 
 func TestSelectMaxCoverageEmptySets(t *testing.T) {
 	sets := []RRSet{{Nodes: nil}, {Nodes: []int32{2}}}
-	seeds, covered := SelectMaxCoverage(sets, 3, 1)
+	seeds, covered := selectMaxCoverage(sets, 3, 1)
 	if seeds[0] != 2 || covered != 1 {
 		t.Fatalf("seeds=%v covered=%d", seeds, covered)
 	}
-}
-
-func TestCollectDeterministicAcrossWorkers(t *testing.T) {
-	g := graph.PowerLaw(300, 6, 2.16, true, rng.New(1))
-	graph.AssignWeightedCascade(g)
-	gen1 := NewIC(g)
-	sets1 := Collect(gen1, 200, 1, 77)
-	gen2 := NewIC(g)
-	sets2 := Collect(gen2, 200, 4, 77)
-	for i := range sets1 {
-		if !setsEqual(sortedNodes(&sets1[i]), sortedNodes(&sets2[i])) {
-			t.Fatalf("set %d differs between worker counts", i)
-		}
-	}
-	// Counters must be accumulated identically.
-	if gen1.Counters().Sets != gen2.Counters().Sets {
-		t.Fatal("counters differ across worker counts")
+	if seeds, st := SelectSeeds(&Collection{}, 3); len(seeds) != 0 || st.Coverage != 0 {
+		t.Fatalf("zero Collection selected %v (coverage %v), want nothing", seeds, st.Coverage)
 	}
 }
 
@@ -576,7 +615,7 @@ func TestSelectMaxCoverageDistinctSeedsWhenSaturated(t *testing.T) {
 	// With fewer sets than seeds requested, coverage saturates early; the
 	// filler seeds must still be distinct nodes, never repeats.
 	sets := []RRSet{{Root: 3, Nodes: []int32{3}}, {Root: 3, Nodes: []int32{3}}}
-	seeds, covered := SelectMaxCoverage(sets, 10, 5)
+	seeds, covered := selectMaxCoverage(sets, 10, 5)
 	if covered != 2 {
 		t.Fatalf("covered = %d, want 2", covered)
 	}
@@ -612,8 +651,8 @@ func TestSelectMaxCoverageMatchesScan(t *testing.T) {
 			}
 		}
 		k := 1 + r.Intn(n+2) // sometimes k > n: both must clamp identically
-		wantSeeds, wantCov := SelectMaxCoverageScan(sets, n, min(k, n))
-		gotSeeds, gotCov := SelectMaxCoverage(sets, n, min(k, n))
+		wantSeeds, wantCov := selectMaxCoverageScan(sets, n, min(k, n))
+		gotSeeds, gotCov := selectMaxCoverage(sets, n, k)
 		if !setsEqual(gotSeeds, wantSeeds) || gotCov != wantCov {
 			t.Fatalf("trial %d (n=%d, sets=%d, k=%d):\nCELF %v cov %d\nscan %v cov %d",
 				trial, n, numSets, k, gotSeeds, gotCov, wantSeeds, wantCov)
@@ -628,7 +667,7 @@ func TestSelectMaxCoverageTieBreaksByLowestID(t *testing.T) {
 		{Nodes: []int32{5, 3, 7}},
 		{Nodes: []int32{7, 5, 3}},
 	}
-	seeds, covered := SelectMaxCoverage(sets, 9, 3)
+	seeds, covered := selectMaxCoverage(sets, 9, 3)
 	if covered != 2 {
 		t.Fatalf("covered = %d, want 2", covered)
 	}
@@ -640,14 +679,21 @@ func TestSelectMaxCoverageTieBreaksByLowestID(t *testing.T) {
 	}
 }
 
-func TestBuildCollectionArenaMatchesCollect(t *testing.T) {
-	// The flat arena must hold exactly the sets Collect produces, set for
-	// set and node for node, for any worker count.
+// TestBuildCollectionMatchesGenerate: set i of a build is the set one
+// generator draws from random stream i of the seed, node for node, and the
+// build's counters are that generator's, for any worker count.
+func TestBuildCollectionMatchesGenerate(t *testing.T) {
 	g := graph.PowerLaw(300, 6, 2.16, true, rng.New(1))
 	graph.AssignWeightedCascade(g)
-	want := Collect(NewIC(g), 250, 1, 77)
+	const theta, seed = 250, 77
+	ref := NewIC(g)
+	want := make([]RRSet, theta)
+	for i := range want {
+		r := rng.NewStream(seed, uint64(i))
+		ref.Generate(int32(r.Intn(g.N())), r, &want[i])
+	}
 	for _, workers := range []int{1, 4} {
-		col := BuildCollection(NewIC(g), g.M(), 5, Options{FixedTheta: 250, Workers: workers}, 77)
+		col := BuildCollection(NewIC(g), g.M(), 5, Options{FixedTheta: theta, Workers: workers}, seed)
 		if col.Len() != len(want) {
 			t.Fatalf("workers=%d: Len = %d, want %d", workers, col.Len(), len(want))
 		}
@@ -660,6 +706,9 @@ func TestBuildCollectionArenaMatchesCollect(t *testing.T) {
 			if !setsEqual(got.Nodes, want[i].Nodes) {
 				t.Fatalf("workers=%d set %d: nodes %v != %v", workers, i, got.Nodes, want[i].Nodes)
 			}
+		}
+		if col.Explored != *ref.Counters() {
+			t.Fatalf("workers=%d: counters %+v, generator's %+v", workers, col.Explored, *ref.Counters())
 		}
 	}
 }
@@ -789,7 +838,7 @@ func TestBuildCollectionSeparatesKPTFromGeneration(t *testing.T) {
 func TestGeneralTIMPicksHubUnderIC(t *testing.T) {
 	g := graph.Star(50, 1)
 	gen := NewIC(g)
-	seeds, st := GeneralTIM(gen, g.M(), 1, Options{FixedTheta: 500}, 3)
+	seeds, st := SelectSeeds(BuildCollection(gen, g.M(), 1, Options{FixedTheta: 500}, 3), 1)
 	if len(seeds) != 1 || seeds[0] != 0 {
 		t.Fatalf("GeneralTIM picked %v, want hub 0", seeds)
 	}
@@ -813,7 +862,7 @@ func TestGeneralTIMSelfInfMaxQuality(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	seeds, _ := GeneralTIM(gen, g.M(), 1, Options{FixedTheta: 4000}, 9)
+	seeds, _ := SelectSeeds(BuildCollection(gen, g.M(), 1, Options{FixedTheta: 4000}, 9), 1)
 
 	est := montecarlo.New(g, gap)
 	evalOne := func(u int32) float64 {
@@ -835,7 +884,7 @@ func TestGeneralTIMAutoTheta(t *testing.T) {
 	g := graph.PowerLaw(300, 5, 2.16, true, rng.New(5))
 	graph.AssignWeightedCascade(g)
 	gen := NewIC(g)
-	seeds, st := GeneralTIM(gen, g.M(), 5, Options{Epsilon: 1, MaxTheta: 50000}, 7)
+	seeds, st := SelectSeeds(BuildCollection(gen, g.M(), 5, Options{Epsilon: 1, MaxTheta: 50000}, 7), 5)
 	if len(seeds) != 5 {
 		t.Fatalf("got %d seeds", len(seeds))
 	}
@@ -858,7 +907,7 @@ func TestCountersPopulated(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	Collect(gen, 100, 2, 9)
+	BuildCollection(gen, g.M(), 1, Options{FixedTheta: 100, Workers: 2}, 9)
 	c := gen.Counters()
 	if c.Sets != 100 {
 		t.Fatalf("Sets = %d", c.Sets)
@@ -871,7 +920,7 @@ func TestCountersPopulated(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	Collect(plus, 100, 2, 9)
+	BuildCollection(plus, g.M(), 1, Options{FixedTheta: 100, Workers: 2}, 9)
 	cp := plus.Counters()
 	if cp.EdgesBackwardFirst == 0 {
 		t.Fatalf("RR-SIM+ first-pass counter empty: %+v", cp)
@@ -950,13 +999,14 @@ func BenchmarkBuildCollection(b *testing.B) {
 	}
 }
 
+// BenchmarkSelectMaxCoverage times SelectSeeds over a built collection of
+// 20,000 IC sets.
 func BenchmarkSelectMaxCoverage(b *testing.B) {
 	g := graph.PowerLaw(5000, 10, 2.16, true, rng.New(1))
 	graph.AssignWeightedCascade(g)
-	gen := NewIC(g)
-	sets := Collect(gen, 20000, 0, 5)
+	col := BuildCollection(NewIC(g), g.M(), 50, Options{FixedTheta: 20000}, 5)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		SelectMaxCoverage(sets, g.N(), 50)
+		SelectSeeds(col, 50)
 	}
 }

@@ -15,13 +15,19 @@ import (
 // q_{A|∅} ≤ q_{A|B}, q_{B|∅} = q_{B|A} (Theorem 7); the sandwich bounds of
 // §6.4 reduce general Q+ instances to this setting.
 type SIM struct {
-	s        sampler
+	simPasses
+}
+
+// simPasses holds what RR-SIM and RR-SIM+ share: the configuration, the
+// scratch, and the two passes both run, the forward B-labeling (labelB)
+// and the backward A-relay BFS that draws the set (relayA).
+type simPasses struct {
+	base
 	gap      core.GAP
 	seedsB   []int32
 	bAdopted marker
 	visited  marker
 	queue    []int32
-	counters Counters
 }
 
 // NewSIM returns an RR-SIM generator. It rejects GAPs outside the algorithm's
@@ -30,13 +36,19 @@ func NewSIM(g *graph.Graph, gap core.GAP, seedsB []int32) (*SIM, error) {
 	if err := checkSIM(g, gap, seedsB); err != nil {
 		return nil, err
 	}
-	return &SIM{
-		s:        newSampler(g),
+	return &SIM{newSIMPasses(g, gap, seedsB, nil)}, nil
+}
+
+// newSIMPasses returns the shared RR-SIM state for inputs checkSIM has
+// accepted, reading world (nil samples lazily).
+func newSIMPasses(g *graph.Graph, gap core.GAP, seedsB []int32, world *core.World) simPasses {
+	return simPasses{
+		base:     newBase(g, world),
 		gap:      gap,
 		seedsB:   append([]int32(nil), seedsB...),
 		bAdopted: newMarker(g.N()),
 		visited:  newMarker(g.N()),
-	}, nil
+	}
 }
 
 // checkSIM rejects the inputs RR-SIM and RR-SIM+ are unsound or undefined
@@ -54,33 +66,32 @@ func checkSIM(g *graph.Graph, gap core.GAP, seedsB []int32) error {
 	return checkSeedRange(seedsB, g.N())
 }
 
-// N implements Generator.
-func (s *SIM) N() int { return s.s.g.N() }
-
-// SetWorld implements Generator.
-func (s *SIM) SetWorld(w *core.World) { s.s.world = w }
-
-// Counters implements Generator.
-func (s *SIM) Counters() *Counters { return &s.counters }
-
-// Clone implements Generator.
-func (s *SIM) Clone() Generator {
-	c, err := NewSIM(s.s.g, s.gap, s.seedsB)
-	if err != nil {
-		panic(err) // validated at construction
-	}
-	c.s.world = s.s.world
-	return c
+// clone returns fresh shared state with s's configuration and world.
+func (s *simPasses) clone() simPasses {
+	return newSIMPasses(s.s.g, s.gap, s.seedsB, s.s.world)
 }
 
-// forwardLabelB runs Phase II of Algorithm 2: mark every node that adopts B
-// given the fixed B-seed set. Because q_{B|∅} = q_{B|A}, B's diffusion is
-// independent of A (Lemma 3), so the label is exact.
-func (s *SIM) forwardLabelB() {
+// Clone implements Generator.
+func (s *SIM) Clone() Generator { return &SIM{s.clone()} }
+
+// Generate implements Generator.
+func (s *SIM) Generate(root int32, r *rng.RNG, out *RRSet) {
+	s.s.begin(r)
+	s.labelB(nil)
+	s.relayA(root, out)
+}
+
+// labelB runs Phase II of Algorithm 2: mark every node that adopts B given
+// the fixed B-seed set. Because q_{B|∅} = q_{B|A}, B's diffusion is
+// independent of A (Lemma 3), so the label is exact. A non-nil scope
+// confines the labeling to its nodes, B-seeds included; RR-SIM+ passes its
+// first pass's T1 (Algorithm 3). Every B-path to a node of T1 lies entirely
+// inside T1 (Lemma 7), so the labels relayA reads agree with RR-SIM's.
+func (s *simPasses) labelB(scope *marker) {
 	s.bAdopted.reset()
 	s.queue = s.queue[:0]
 	for _, v := range s.seedsB {
-		if s.bAdopted.mark(v) {
+		if (scope == nil || scope.has(v)) && s.bAdopted.mark(v) {
 			s.queue = append(s.queue, v)
 		}
 	}
@@ -92,7 +103,7 @@ func (s *SIM) forwardLabelB() {
 		to, eids := g.OutNeighbors(u)
 		for i := range to {
 			v := to[i]
-			if s.bAdopted.has(v) {
+			if (scope != nil && !scope.has(v)) || s.bAdopted.has(v) {
 				continue
 			}
 			s.counters.EdgesForward++
@@ -104,21 +115,11 @@ func (s *SIM) forwardLabelB() {
 	}
 }
 
-// relaysA reports whether node u, once informed of A, adopts it in the
-// current possible world (the backward-BFS pass-through condition).
-func (s *SIM) relaysA(u int32) bool {
-	if s.bAdopted.has(u) {
-		return s.s.alphaA(u) <= s.gap.QAB
-	}
-	return s.s.alphaA(u) <= s.gap.QA0
-}
-
-// Generate implements Generator.
-func (s *SIM) Generate(root int32, r *rng.RNG, out *RRSet) {
+// relayA runs Phase III of Algorithm 2 on labelB's labels: a backward BFS
+// from root that passes through every node that adopts A once informed of
+// it, collecting RR(root) into out.
+func (s *simPasses) relayA(root int32, out *RRSet) {
 	g := s.s.g
-	s.s.begin(r)
-	s.forwardLabelB()
-
 	out.Reset(root)
 	s.visited.reset()
 	s.queue = append(s.queue[:0], root)
@@ -126,7 +127,11 @@ func (s *SIM) Generate(root int32, r *rng.RNG, out *RRSet) {
 	for head := 0; head < len(s.queue); head++ {
 		u := s.queue[head]
 		addNode(g, out, u)
-		if !s.relaysA(u) {
+		q := s.gap.QA0
+		if s.bAdopted.has(u) {
+			q = s.gap.QAB
+		}
+		if s.s.alphaA(u) > q {
 			// u can become A-adopted only as a seed itself; its
 			// in-neighbors cannot push A through it (Case 1(ii)/2(ii)).
 			continue

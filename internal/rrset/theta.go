@@ -97,17 +97,24 @@ func EstimateKPT(gen Generator, m, k int, ell float64, seed uint64, workers int)
 	return 1
 }
 
-// Theta returns the RR-set budget θ = ⌈λ / KPT⌉ clamped to [1, maxTheta].
+// Theta returns the RR-set budget θ = ⌈λ / KPT⌉ clamped to [1, maxTheta]
+// (to [1, MaxInt] when maxTheta ≤ 0). The clamp happens before the
+// conversion to int, so a ratio past the int range, or a λ that overflowed
+// to +Inf under a tiny ε, still yields the cap.
 func Theta(lambda, kpt float64, maxTheta int) int {
 	if kpt < 1 {
 		kpt = 1
 	}
-	t := int(math.Ceil(lambda / kpt))
-	if t < 1 {
-		t = 1
+	limit := math.MaxInt
+	if maxTheta > 0 {
+		limit = maxTheta
 	}
-	if maxTheta > 0 && t > maxTheta {
-		t = maxTheta
+	switch t := math.Ceil(lambda / kpt); {
+	case t >= float64(limit):
+		return limit
+	case t >= 1:
+		return int(t)
+	default: // also NaN
+		return 1
 	}
-	return t
 }

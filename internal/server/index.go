@@ -183,17 +183,18 @@ func (x *Index) Collection(req rrset.CollectionRequest) (*rrset.Collection, erro
 	return col, err
 }
 
-// SelectSeeds resolves req's collection and selects k seeds over a graph of
-// n nodes: Collection followed by rrset.SelectSeeds, which is what solvers
-// run. It answered from memoized CELF orderings, which fresh selection
-// replaced; the method stays so existing callers, such as the load
-// benchmark's in-process replay, build unchanged.
-func (x *Index) SelectSeeds(req rrset.CollectionRequest, n, k int) ([]int32, *rrset.Stats, error) {
+// SelectSeeds resolves req's collection and selects k seeds from it:
+// Collection followed by rrset.SelectSeeds, which is what solvers run. The
+// node-count argument is unused, as a collection selects over its own
+// graph's nodes. It answered from memoized CELF orderings, which fresh
+// selection replaced; the method and its signature stay so existing
+// callers, such as the load benchmark's in-process replay, build unchanged.
+func (x *Index) SelectSeeds(req rrset.CollectionRequest, _, k int) ([]int32, *rrset.Stats, error) {
 	col, err := x.Collection(req)
 	if err != nil {
 		return nil, nil, err
 	}
-	seeds, st := rrset.SelectSeeds(col, n, k)
+	seeds, st := rrset.SelectSeeds(col, k)
 	return seeds, st, nil
 }
 

@@ -443,8 +443,8 @@ func TestIndexEvictionChurnSafety(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantA, _ := rrset.SelectSeeds(colA, g.N(), 5)
-	wantB, _ := rrset.SelectSeeds(colB, g.N(), 5)
+	wantA, _ := rrset.SelectSeeds(colA, 5)
+	wantB, _ := rrset.SelectSeeds(colB, 5)
 
 	// Budget below two collections: every alternation evicts the other key.
 	idx := NewIndex(colA.Bytes() + colB.Bytes()/2)
@@ -465,7 +465,7 @@ func TestIndexEvictionChurnSafety(t *testing.T) {
 					t.Error(err)
 					return
 				}
-				if seeds, _ := rrset.SelectSeeds(col, g.N(), 5); !reflect.DeepEqual(seeds, want) {
+				if seeds, _ := rrset.SelectSeeds(col, 5); !reflect.DeepEqual(seeds, want) {
 					t.Errorf("worker %d iter %d: seeds %v, want %v", w, i, seeds, want)
 					return
 				}

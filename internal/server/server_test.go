@@ -315,32 +315,41 @@ func TestSolveHonorsExplicitSeedZero(t *testing.T) {
 }
 
 func TestServerMaxThetaCapsDerivedTheta(t *testing.T) {
-	// The operator's MaxTheta must bound the KPT-derived theta path too,
-	// not only requests that name a budget explicitly.
+	// The operator's MaxTheta and a request's maxTheta must bound the
+	// KPT-derived theta path too, not only requests that name a budget
+	// explicitly. A tiny epsilon pushes λ/KPT past the int range, and the
+	// budget must still come out at the cap, not at 1.
 	d := testDataset(t)
-	s, err := server.New(server.Config{
-		Datasets: map[string]*comic.Dataset{"Flixster": d},
-		MaxTheta: 150,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var got struct {
-		Candidates []struct {
-			Theta int `json:"theta"`
-		} `json:"candidates"`
-	}
-	rec := do(t, s, http.MethodPost, "/v1/selfinfmax",
-		`{"dataset":"Flixster","k":3,"seedsB":[1],"evalRuns":100,"seed":4}`, &got)
-	if rec.Code != http.StatusOK {
-		t.Fatalf("solve = %d %s", rec.Code, rec.Body.String())
-	}
-	if len(got.Candidates) == 0 {
-		t.Fatal("no candidates in response")
-	}
-	for _, c := range got.Candidates {
-		if c.Theta > 150 {
-			t.Fatalf("candidate theta = %d exceeds the server's MaxTheta cap 150", c.Theta)
+	for _, tc := range []struct {
+		serverCap, want int
+		body            string
+	}{
+		{150, 150, `{"dataset":"Flixster","k":3,"seedsB":[1],"evalRuns":100,"seed":4}`},
+		{0, 500, `{"dataset":"Flixster","k":3,"seedsB":[1],"evalRuns":100,"seed":4,"epsilon":1e-10,"maxTheta":500}`},
+	} {
+		s, err := server.New(server.Config{
+			Datasets: map[string]*comic.Dataset{"Flixster": d},
+			MaxTheta: tc.serverCap,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got struct {
+			Candidates []struct {
+				Theta int `json:"theta"`
+			} `json:"candidates"`
+		}
+		rec := do(t, s, http.MethodPost, "/v1/selfinfmax", tc.body, &got)
+		if rec.Code != http.StatusOK {
+			t.Fatalf("solve = %d %s", rec.Code, rec.Body.String())
+		}
+		if len(got.Candidates) == 0 {
+			t.Fatal("no candidates in response")
+		}
+		for _, c := range got.Candidates {
+			if c.Theta != tc.want {
+				t.Errorf("%s: candidate theta = %d, want the cap %d", tc.body, c.Theta, tc.want)
+			}
 		}
 	}
 }

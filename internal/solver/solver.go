@@ -347,7 +347,7 @@ func (c Config) selectSeeds(g *graph.Graph, kind rrset.Kind, gap core.GAP, oppos
 	if err != nil {
 		return nil, nil, err
 	}
-	seeds, st := rrset.SelectSeeds(col, g.N(), c.K)
+	seeds, st := rrset.SelectSeeds(col, c.K)
 	return seeds, st, nil
 }
 
