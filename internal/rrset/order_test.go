@@ -1,11 +1,11 @@
 package rrset
 
-// The differential harness pinning CELF seed selection to the eager argmax
-// oracle: across all six GAP regimes, randomized property tests assert that
-// SelectSeeds, the CELF lazy-greedy production path over a collection's
-// coverage index, selects seed-for-seed what selectMaxCoverageScan, the
-// pre-CELF eager argmax scan kept here as the ground truth, selects on the
-// same collection.
+// This file holds the differential harness that pins CELF seed selection
+// to the eager argmax oracle: across all six GAP regimes, randomized
+// property tests assert that SelectSeeds, the CELF lazy-greedy production
+// path over a collection's coverage index, selects seed-for-seed what
+// selectMaxCoverageScan, the pre-CELF eager argmax scan kept here as the
+// ground truth, selects on the same collection.
 
 import (
 	"fmt"

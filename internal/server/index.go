@@ -186,9 +186,8 @@ func (x *Index) Collection(req rrset.CollectionRequest) (*rrset.Collection, erro
 // SelectSeeds resolves req's collection and selects k seeds from it:
 // Collection followed by rrset.SelectSeeds, which is what solvers run. The
 // node-count argument is unused, as a collection selects over its own
-// graph's nodes. It answered from memoized CELF orderings, which fresh
-// selection replaced; the method and its signature stay so existing
-// callers, such as the load benchmark's in-process replay, build unchanged.
+// graph's nodes; the method keeps its signature so existing callers, such
+// as the load benchmark's in-process replay, build unchanged.
 func (x *Index) SelectSeeds(req rrset.CollectionRequest, _, k int) ([]int32, *rrset.Stats, error) {
 	col, err := x.Collection(req)
 	if err != nil {
