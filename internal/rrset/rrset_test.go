@@ -679,10 +679,11 @@ func TestSelectMaxCoverageTieBreaksByLowestID(t *testing.T) {
 	}
 }
 
-// TestBuildCollectionMatchesGenerate: set i of a build is the set one
-// generator draws from random stream i of the seed, node for node, and the
-// build's counters are that generator's, for any worker count.
-func TestBuildCollectionMatchesGenerate(t *testing.T) {
+// TestBuildCollectionArenaMatchesCollect: the flat arena holds exactly the
+// sets one generator collects, one Generate per random stream i of the
+// seed, set for set and node for node, and the build's counters are that
+// generator's, for any worker count.
+func TestBuildCollectionArenaMatchesCollect(t *testing.T) {
 	g := graph.PowerLaw(300, 6, 2.16, true, rng.New(1))
 	graph.AssignWeightedCascade(g)
 	const theta, seed = 250, 77
@@ -710,6 +711,28 @@ func TestBuildCollectionMatchesGenerate(t *testing.T) {
 		if col.Explored != *ref.Counters() {
 			t.Fatalf("workers=%d: counters %+v, generator's %+v", workers, col.Explored, *ref.Counters())
 		}
+	}
+}
+
+// TestCollectDeterministicAcrossWorkers: builds at 1 and 4 workers hold the
+// same sets and accumulate the same counters.
+func TestCollectDeterministicAcrossWorkers(t *testing.T) {
+	g := graph.PowerLaw(300, 6, 2.16, true, rng.New(1))
+	graph.AssignWeightedCascade(g)
+	col1 := BuildCollection(NewIC(g), g.M(), 5, Options{FixedTheta: 200, Workers: 1}, 77)
+	col4 := BuildCollection(NewIC(g), g.M(), 5, Options{FixedTheta: 200, Workers: 4}, 77)
+	if col1.Len() != col4.Len() {
+		t.Fatalf("Len %d at 1 worker, %d at 4", col1.Len(), col4.Len())
+	}
+	for i := 0; i < col1.Len(); i++ {
+		s1, s4 := col1.Set(i), col4.Set(i)
+		if !setsEqual(sortedNodes(&s1), sortedNodes(&s4)) {
+			t.Fatalf("set %d differs between worker counts", i)
+		}
+	}
+	// Counters must be accumulated identically.
+	if col1.Explored != col4.Explored {
+		t.Fatalf("counters differ across worker counts: %+v vs %+v", col1.Explored, col4.Explored)
 	}
 }
 
