@@ -14,38 +14,25 @@ import (
 // arrays, so a single allocation serves millions of Monte-Carlo runs; it is
 // not safe for concurrent use — give each worker goroutine its own instance.
 //
-// Two execution modes are supported:
+// Every random outcome (edge coin, node thresholds α, tie-break ranks,
+// dual-seed coin) comes from the simulator's Draws, in one of two modes:
 //
-//   - Lazy mode (default): every random outcome (edge coin, node thresholds
-//     α, tie-break ranks, dual-seed coin) is drawn on demand from the
-//     caller's RNG and memoized for the duration of the run, which is
-//     exactly the principle-of-deferred-decisions reading of the model.
+//   - Lazy mode (default): each outcome is drawn from the caller's RNG when
+//     the run first needs it, which is exactly the
+//     principle-of-deferred-decisions reading of the model.
 //   - World mode (SetWorld): all outcomes come from an explicitly sampled
 //     possible world (§5.1), making the cascade fully deterministic. Running
 //     the same world with different seed sets implements the
 //     common-random-number comparisons used in the submodularity analysis
 //     and the RR-set correctness tests.
 type Simulator struct {
-	g   *graph.Graph
-	gap GAP
+	draws Draws
+	gap   GAP
 
-	world *World
-
-	// Extensions (§8 future work): per-node GAPs and per-item edge
-	// probabilities. Only available in lazy mode.
-	nodeGAPs []GAP
-	probA    []float64
-	probB    []float64
-
-	// Epoch-stamped per-run state.
+	// Epoch-stamped per-run node states.
 	epoch      uint32
 	stA, stB   []State
 	stampState []uint32
-	alA, alB   []float64
-	stampAlA   []uint32
-	stampAlB   []uint32
-	eStatus    [2][]uint8 // 1 = live, 2 = blocked; index 0 shared unless per-item probs
-	stampE     [2][]uint32
 	seqA, seqB []int32
 	seedMark   []uint8
 	stampSeed  []uint32
@@ -61,7 +48,6 @@ type Simulator struct {
 	step               int32
 
 	trace *Trace
-	r     *rng.RNG
 }
 
 type adoptEvent struct {
@@ -83,114 +69,37 @@ func NewSimulator(g *graph.Graph, gap GAP) *Simulator {
 	if err := gap.Validate(); err != nil {
 		panic(err)
 	}
-	n, m := g.N(), g.M()
-	s := &Simulator{
-		g:          g,
+	n := g.N()
+	return &Simulator{
+		draws:      NewDraws(g, 2),
 		gap:        gap,
 		stA:        make([]State, n),
 		stB:        make([]State, n),
 		stampState: make([]uint32, n),
-		alA:        make([]float64, n),
-		alB:        make([]float64, n),
-		stampAlA:   make([]uint32, n),
-		stampAlB:   make([]uint32, n),
 		seqA:       make([]int32, n),
 		seqB:       make([]int32, n),
 		seedMark:   make([]uint8, n),
 		stampSeed:  make([]uint32, n),
 	}
-	s.eStatus[0] = make([]uint8, m)
-	s.stampE[0] = make([]uint32, m)
-	return s
 }
 
 // GAP returns the simulator's global adoption probabilities.
 func (s *Simulator) GAP() GAP { return s.gap }
 
 // Graph returns the underlying graph.
-func (s *Simulator) Graph() *graph.Graph { return s.g }
-
-// SetGAP replaces the GAPs (used by the sandwich bounds, which perturb one
-// GAP at a time).
-func (s *Simulator) SetGAP(gap GAP) {
-	if err := gap.Validate(); err != nil {
-		panic(err)
-	}
-	s.gap = gap
-}
+func (s *Simulator) Graph() *graph.Graph { return s.draws.g }
 
 // SetWorld switches the simulator to deterministic world mode (nil reverts
 // to lazy mode). The world must have been sampled for the simulator's
-// graph (World.MustFit panics otherwise). World mode is incompatible with
-// per-item edge probabilities.
-func (s *Simulator) SetWorld(w *World) {
-	if w != nil {
-		if s.probA != nil {
-			panic("core: world mode is incompatible with per-item edge probabilities")
-		}
-		w.MustFit(s.g)
-	}
-	s.world = w
-}
-
-// SetNodeGAPs installs per-node GAP overrides (extension of §8); gaps[v]
-// replaces the global GAPs at node v. Pass nil to clear.
-func (s *Simulator) SetNodeGAPs(gaps []GAP) {
-	if gaps != nil && len(gaps) != s.g.N() {
-		panic("core: node GAP slice must have one entry per node")
-	}
-	for _, q := range gaps {
-		if err := q.Validate(); err != nil {
-			panic(err)
-		}
-	}
-	s.nodeGAPs = gaps
-}
-
-// SetItemProbs installs product-dependent edge probabilities (extension of
-// §8): edge eid propagates A with pA[eid] and B with pB[eid], each channel
-// flipped at most once. Pass nil, nil to restore shared probabilities.
-func (s *Simulator) SetItemProbs(pA, pB []float64) {
-	if (pA == nil) != (pB == nil) {
-		panic("core: per-item probabilities must be set or cleared together")
-	}
-	if pA == nil {
-		s.probA, s.probB = nil, nil
-		s.eStatus[1] = nil
-		s.stampE[1] = nil
-		return
-	}
-	if s.world != nil {
-		panic("core: world mode is incompatible with per-item edge probabilities")
-	}
-	if len(pA) != s.g.M() || len(pB) != s.g.M() {
-		panic("core: per-item probability slices must have one entry per edge")
-	}
-	s.probA, s.probB = pA, pB
-	if s.eStatus[1] == nil {
-		s.eStatus[1] = make([]uint8, s.g.M())
-		s.stampE[1] = make([]uint32, s.g.M())
-	}
-}
+// graph (World.MustFit panics otherwise).
+func (s *Simulator) SetWorld(w *World) { s.draws.SetWorld(w) }
 
 func (s *Simulator) bumpEpoch() {
 	s.epoch++
-	if s.epoch == 0 { // wrapped: clear all stamps once every 2^32 runs
-		clearU32(s.stampState)
-		clearU32(s.stampAlA)
-		clearU32(s.stampAlB)
-		clearU32(s.stampE[0])
-		if s.stampE[1] != nil {
-			clearU32(s.stampE[1])
-		}
-		clearU32(s.stampSeed)
+	if s.epoch == 0 { // wrapped: clear the node stamps once every 2^32 runs
+		clear(s.stampState)
+		clear(s.stampSeed)
 		s.epoch = 1
-	}
-}
-
-func clearU32(a []uint32) {
-	for i := range a {
-		a[i] = 0
 	}
 }
 
@@ -215,69 +124,6 @@ func (s *Simulator) setState(v int32, it Item, st State) {
 	} else {
 		s.stB[v] = st
 	}
-}
-
-func (s *Simulator) alpha(v int32, it Item) float64 {
-	if s.world != nil {
-		if it == A {
-			return s.world.AlphaA[v]
-		}
-		return s.world.AlphaB[v]
-	}
-	if it == A {
-		if s.stampAlA[v] != s.epoch {
-			s.stampAlA[v] = s.epoch
-			s.alA[v] = s.r.Float64()
-		}
-		return s.alA[v]
-	}
-	if s.stampAlB[v] != s.epoch {
-		s.stampAlB[v] = s.epoch
-		s.alB[v] = s.r.Float64()
-	}
-	return s.alB[v]
-}
-
-func (s *Simulator) edgeChannel(it Item) int {
-	if s.probA != nil && it == B {
-		return 1
-	}
-	return 0
-}
-
-func (s *Simulator) edgeProb(it Item, eid int32) float64 {
-	if s.probA == nil {
-		return s.g.Prob(eid)
-	}
-	if it == A {
-		return s.probA[eid]
-	}
-	return s.probB[eid]
-}
-
-// edgeLive tests edge eid for item it, flipping its coin at most once per
-// run per channel (Figure 2, step 1).
-func (s *Simulator) edgeLive(it Item, eid int32) bool {
-	if s.world != nil {
-		return s.world.EdgeLive[eid]
-	}
-	c := s.edgeChannel(it)
-	if s.stampE[c][eid] != s.epoch {
-		s.stampE[c][eid] = s.epoch
-		if s.r.Bernoulli(s.edgeProb(it, eid)) {
-			s.eStatus[c][eid] = 1
-		} else {
-			s.eStatus[c][eid] = 2
-		}
-	}
-	return s.eStatus[c][eid] == 1
-}
-
-func (s *Simulator) gapFor(v int32) GAP {
-	if s.nodeGAPs != nil {
-		return s.nodeGAPs[v]
-	}
-	return s.gap
 }
 
 // adopt transitions v to Adopted for item it, records bookkeeping, schedules
@@ -305,7 +151,7 @@ func (s *Simulator) adopt(v int32, it Item) {
 	if s.state(v, other) == Suspended {
 		// Reconsideration: the same α threshold that failed q_{X|∅}
 		// is now compared against q_{X|Y}, reproducing ρ_X exactly.
-		if s.alpha(v, other) <= s.gapFor(v).Q(other, true) {
+		if s.draws.Alpha(v, other) <= s.gap.Q(other, true) {
 			s.adopt(v, other)
 		} else {
 			s.setState(v, other, Rejected)
@@ -323,7 +169,7 @@ func (s *Simulator) processInform(v int32, it Item) {
 		return
 	}
 	otherAdopted := s.state(v, it.Other()) == Adopted
-	if s.alpha(v, it) <= s.gapFor(v).Q(it, otherAdopted) {
+	if s.draws.Alpha(v, it) <= s.gap.Q(it, otherAdopted) {
 		s.adopt(v, it)
 		return
 	}
@@ -339,10 +185,7 @@ func (s *Simulator) processInform(v int32, it Item) {
 // may be nil in world mode. The adopted node lists remain readable through
 // AdoptedA/AdoptedB until the next run.
 func (s *Simulator) Run(seedsA, seedsB []int32, r *rng.RNG) (countA, countB int) {
-	if s.world == nil && r == nil {
-		panic("core: lazy mode requires an RNG")
-	}
-	s.r = r
+	s.draws.Begin(r)
 	s.bumpEpoch()
 	s.countA, s.countB = 0, 0
 	s.seqCounter = 0
@@ -372,7 +215,7 @@ func (s *Simulator) Run(seedsA, seedsB []int32, r *rng.RNG) (countA, countB int)
 		}
 		s.seedMark[v] |= 1
 		if s.seedMark[v]&2 != 0 {
-			first := s.seedCoin(v)
+			first := s.draws.SeedFirst(v)
 			s.adopt(v, first)
 			s.adopt(v, first.Other())
 			s.seedMark[v] |= 4 // dual handled
@@ -392,14 +235,13 @@ func (s *Simulator) Run(seedsA, seedsB []int32, r *rng.RNG) (countA, countB int)
 		s.step++
 		s.propagateStep()
 	}
-	s.r = nil
 	return s.countA, s.countB
 }
 
 // SameRuns reports whether Run(a, seedsB, r) and Run(b, seedsB, r) must
 // return the same counts and leave every node in the same final state: for
 // every RNG state in lazy mode and every world in world mode, under any
-// GAPs, per-node GAPs and per-item probabilities. Run reads its A-seeds
+// GAPs. Run reads its A-seeds
 // through two things only: their set of nodes, and the order of the dual
 // seeds among them (A-seeds that are also in seedsB). Step 0 draws one seed
 // coin per dual seed, in A-seed order, and draws nothing for the other
@@ -434,16 +276,6 @@ func dualSeeds(seedsA, sortedB []int32) []int32 {
 	return out
 }
 
-func (s *Simulator) seedCoin(v int32) Item {
-	if s.world != nil {
-		return s.world.SeedFirst[v]
-	}
-	if s.r.Bernoulli(0.5) {
-		return A
-	}
-	return B
-}
-
 // propagateStep implements one global iteration of Figure 2: edge tests for
 // everything adopted in the previous step, then tie-broken node tests.
 func (s *Simulator) propagateStep() {
@@ -465,17 +297,18 @@ func (s *Simulator) propagateStep() {
 			j++
 		}
 		u := s.cur[i].node
-		to, eids := s.g.OutNeighbors(u)
+		to, eids := s.draws.g.OutNeighbors(u)
 		for e := range to {
 			eid := eids[e]
-			rank := s.edgeRank(eid)
+			rank := s.draws.Rank(eid)
+			if !s.draws.EdgeLive(eid) {
+				continue
+			}
 			for _, ev := range s.cur[i:j] {
-				if s.edgeLive(ev.item, eid) {
-					s.informs = append(s.informs, informEntry{
-						target: to[e], src: u, item: ev.item,
-						srcSeq: ev.seq, rank: rank,
-					})
-				}
+				s.informs = append(s.informs, informEntry{
+					target: to[e], src: u, item: ev.item,
+					srcSeq: ev.seq, rank: rank,
+				})
 			}
 		}
 		i = j
@@ -519,13 +352,6 @@ func (s *Simulator) propagateStep() {
 		i = j
 	}
 	s.order = order
-}
-
-func (s *Simulator) edgeRank(eid int32) float64 {
-	if s.world != nil {
-		return s.world.EdgeRank[eid]
-	}
-	return s.r.Float64()
 }
 
 // AdoptedA returns the nodes that adopted A in the most recent run. The
@@ -626,11 +452,11 @@ func (t *Trace) Informed(v int32, it Item) bool {
 
 // RunTrace runs one diffusion like Run but returns a full Trace.
 func (s *Simulator) RunTrace(seedsA, seedsB []int32, r *rng.RNG) *Trace {
-	t := newTrace(s.g.N())
+	t := newTrace(s.draws.g.N())
 	s.trace = t
 	defer func() { s.trace = nil }()
 	t.CountA, t.CountB = s.Run(seedsA, seedsB, r)
-	for v := int32(0); v < int32(s.g.N()); v++ {
+	for v := int32(0); v < int32(s.draws.g.N()); v++ {
 		t.StateA[v] = s.state(v, A)
 		t.StateB[v] = s.state(v, B)
 	}
@@ -641,7 +467,7 @@ func (s *Simulator) RunTrace(seedsA, seedsB []int32, r *rng.RNG) *Trace {
 // recent run is one of the five unreachable states of Appendix A.1. It is a
 // debugging/testing aid.
 func (s *Simulator) CheckReachableStates() error {
-	for v := int32(0); v < int32(s.g.N()); v++ {
+	for v := int32(0); v < int32(s.draws.g.N()); v++ {
 		a, b := s.state(v, A), s.state(v, B)
 		bad := (a == Idle && b == Rejected) ||
 			(a == Suspended && b == Rejected) ||

@@ -729,60 +729,6 @@ func TestAdoptionSequenceOrder(t *testing.T) {
 	}
 }
 
-func TestItemProbsExtension(t *testing.T) {
-	g := graph.Path(3, 1)
-	gap := core.GAP{QA0: 1, QAB: 1, QB0: 1, QBA: 1}
-	sim := core.NewSimulator(g, gap)
-	pA := []float64{1, 1}
-	pB := []float64{0, 0}
-	sim.SetItemProbs(pA, pB)
-	a, b := sim.Run([]int32{0}, []int32{0}, rng.New(5))
-	if a != 3 {
-		t.Fatalf("A should reach everyone: %d", a)
-	}
-	if b != 1 {
-		t.Fatalf("B should stay at its seed: %d", b)
-	}
-	sim.SetItemProbs(nil, nil)
-	_, b2 := sim.Run([]int32{0}, []int32{0}, rng.New(6))
-	if b2 != 3 {
-		t.Fatalf("clearing per-item probs should restore shared edges: b=%d", b2)
-	}
-}
-
-func TestNodeGAPsExtension(t *testing.T) {
-	g := graph.Path(3, 1)
-	base := core.GAP{QA0: 1, QAB: 1}
-	sim := core.NewSimulator(g, base)
-	overrides := make([]core.GAP, 3)
-	for i := range overrides {
-		overrides[i] = base
-	}
-	overrides[1] = core.GAP{QA0: 0, QAB: 0} // node 1 never adopts
-	sim.SetNodeGAPs(overrides)
-	a, _ := sim.Run([]int32{0}, nil, rng.New(7))
-	if a != 1 {
-		t.Fatalf("blocked node should stop the cascade: a=%d", a)
-	}
-	sim.SetNodeGAPs(nil)
-	a2, _ := sim.Run([]int32{0}, nil, rng.New(8))
-	if a2 != 3 {
-		t.Fatalf("clearing overrides should restore spread: a=%d", a2)
-	}
-}
-
-func TestSetWorldItemProbsConflict(t *testing.T) {
-	g := graph.Path(2, 1)
-	sim := core.NewSimulator(g, core.GAP{})
-	sim.SetItemProbs([]float64{1}, []float64{1})
-	defer func() {
-		if recover() == nil {
-			t.Fatal("SetWorld with per-item probs did not panic")
-		}
-	}()
-	sim.SetWorld(core.SampleWorld(g, rng.New(1)))
-}
-
 // TestSetWorldRejectsMismatchedWorld pins SetWorld's size check. A world
 // sampled for a larger graph would otherwise run silently on the wrong
 // draws, and one sampled for a smaller graph would fail deep inside Run
@@ -932,75 +878,50 @@ func (d *goldenDigest) trace(tr *core.Trace) {
 }
 
 // TestSimulatorGolden pins the exact output of the diffusion kernel: the
-// counts and adoption order of 300 lazy runs and (where the row allows
-// world mode) 300 world runs, plus every field of one traced run, folded
-// into one FNV-64a digest per row. Rows cover each GAP regime, both
-// extensions, and dual and duplicate seeds. A refactor of the kernel must
-// draw the same random numbers in the same order and process informs in the
-// same order, so these digests must not move; a change that moves them is
-// a re-baseline and must say so.
+// counts and adoption order of 300 lazy runs and 300 world runs, plus every
+// field of one traced run, folded into one FNV-64a digest per row. Rows
+// cover each GAP regime, and dual and duplicate seeds; each row names its
+// own stream seed. A refactor of the kernel must draw the same random
+// numbers in the same order and process informs in the same order, so these
+// digests must not move; a change that moves them is a re-baseline and must
+// say so.
 func TestSimulatorGolden(t *testing.T) {
 	g := graph.PowerLaw(300, 8, 2.16, true, rng.New(11))
 	graph.AssignWeightedCascade(g)
 	qplus := core.GAP{QA0: 0.3, QAB: 0.8, QB0: 0.4, QBA: 0.9}
-	pA := make([]float64, g.M())
-	pB := make([]float64, g.M())
-	for eid := range pA {
-		pA[eid] = g.Prob(int32(eid))
-		pB[eid] = 1 - g.Prob(int32(eid))/2
-	}
-	gaps := []core.GAP{
-		qplus,
-		{QA0: 0.8, QAB: 0.2, QB0: 0.7, QBA: 0.3},
-		{QA0: 0.3, QAB: 0.9, QB0: 0.5, QBA: 0.5},
-		{QA0: 0.6, QAB: 0.6, QB0: 0.4, QBA: 0.4},
-	}
-	nodeGAPs := make([]core.GAP, g.N())
-	for v := range nodeGAPs {
-		nodeGAPs[v] = gaps[v%len(gaps)]
-	}
 	seedsA, seedsB := []int32{0, 3, 5, 40}, []int32{1, 2, 7, 90}
 	rows := []struct {
 		name           string
 		gap            core.GAP
 		seedsA, seedsB []int32
-		itemProbs      bool
-		nodeGAPs       bool
+		seed           uint64
 		want           uint64
 	}{
-		{name: "Q+", gap: gaps[0], seedsA: seedsA, seedsB: seedsB, want: 0x830e3c9890db4114},
-		{name: "competition", gap: gaps[1], seedsA: seedsA, seedsB: seedsB, want: 0x40205d2461391130},
-		{name: "one-way", gap: gaps[2], seedsA: seedsA, seedsB: seedsB, want: 0x9bc6eb33894fdd71},
-		{name: "indifferent", gap: gaps[3], seedsA: seedsA, seedsB: seedsB, want: 0x6e7ba2681b1ab252},
-		{name: "item probs (lazy)", gap: qplus, seedsA: seedsA, seedsB: seedsB, itemProbs: true, want: 0xac8956dbd833aa0e},
-		{name: "node GAPs (lazy)", gap: qplus, seedsA: seedsA, seedsB: seedsB, nodeGAPs: true, want: 0x92c9aa8648a175dc},
+		{name: "Q+", gap: qplus, seedsA: seedsA, seedsB: seedsB, seed: 100, want: 0x830e3c9890db4114},
+		{name: "competition", gap: core.GAP{QA0: 0.8, QAB: 0.2, QB0: 0.7, QBA: 0.3},
+			seedsA: seedsA, seedsB: seedsB, seed: 101, want: 0x40205d2461391130},
+		{name: "one-way", gap: core.GAP{QA0: 0.3, QAB: 0.9, QB0: 0.5, QBA: 0.5},
+			seedsA: seedsA, seedsB: seedsB, seed: 102, want: 0x9bc6eb33894fdd71},
+		{name: "indifferent", gap: core.GAP{QA0: 0.6, QAB: 0.6, QB0: 0.4, QBA: 0.4},
+			seedsA: seedsA, seedsB: seedsB, seed: 103, want: 0x6e7ba2681b1ab252},
 		{name: "dual and duplicate seeds", gap: qplus,
-			seedsA: []int32{0, 4, 4, 9, 1, 0}, seedsB: []int32{9, 1, 1, 6, 4}, want: 0x2d716b94af5fe316},
+			seedsA: []int32{0, 4, 4, 9, 1, 0}, seedsB: []int32{9, 1, 1, 6, 4}, seed: 106, want: 0x2d716b94af5fe316},
 	}
 	const runs = 300
-	for ri, row := range rows {
+	for _, row := range rows {
 		sim := core.NewSimulator(g, row.gap)
-		if row.itemProbs {
-			sim.SetItemProbs(pA, pB)
-		}
-		if row.nodeGAPs {
-			sim.SetNodeGAPs(nodeGAPs)
-		}
 		d := goldenDigest{h: fnv.New64a()}
-		seed := uint64(100 + ri)
 		for i := 0; i < runs; i++ {
-			ca, cb := sim.Run(row.seedsA, row.seedsB, rng.NewStream(seed, uint64(i)))
+			ca, cb := sim.Run(row.seedsA, row.seedsB, rng.NewStream(row.seed, uint64(i)))
 			d.run(sim, ca, cb)
 		}
-		if !row.itemProbs && !row.nodeGAPs {
-			for i := 0; i < runs; i++ {
-				sim.SetWorld(core.SampleWorld(g, rng.NewStream(seed+1000, uint64(i))))
-				ca, cb := sim.Run(row.seedsA, row.seedsB, nil)
-				d.run(sim, ca, cb)
-			}
-			sim.SetWorld(nil)
+		for i := 0; i < runs; i++ {
+			sim.SetWorld(core.SampleWorld(g, rng.NewStream(row.seed+1000, uint64(i))))
+			ca, cb := sim.Run(row.seedsA, row.seedsB, nil)
+			d.run(sim, ca, cb)
 		}
-		d.trace(sim.RunTrace(row.seedsA, row.seedsB, rng.NewStream(seed, runs)))
+		sim.SetWorld(nil)
+		d.trace(sim.RunTrace(row.seedsA, row.seedsB, rng.NewStream(row.seed, runs)))
 		if got := d.h.Sum64(); got != row.want {
 			t.Errorf("%s: digest %#x, want %#x", row.name, got, row.want)
 		}
@@ -1008,8 +929,7 @@ func TestSimulatorGolden(t *testing.T) {
 }
 
 // TestSameRunsMatchesRun checks core.SameRuns against Run itself, over 300
-// stream-seeded runs in lazy mode, world mode, and lazy mode with per-item
-// probabilities or per-node GAPs. Moving non-dual A-seeds or repeating an
+// stream-seeded runs in lazy mode and in world mode. Moving non-dual A-seeds or repeating an
 // A-seed leaves every run's counts and final states unchanged, and SameRuns
 // says so. Swapping the two dual seeds makes SameRuns false, changes at
 // least one lazy run (their seed coins trade places), and changes no world
@@ -1018,17 +938,6 @@ func TestSameRunsMatchesRun(t *testing.T) {
 	g := graph.ErdosRenyi(60, 300, rng.New(23))
 	graph.AssignUniform(g, 0.4)
 	competition := core.GAP{QA0: 0.8, QAB: 0.2, QB0: 0.7, QBA: 0.3}
-	pA := make([]float64, g.M())
-	pB := make([]float64, g.M())
-	for eid := range pA {
-		pA[eid] = 0.2 + 0.6*float64(eid%7)/6
-		pB[eid] = 0.8 - 0.6*float64(eid%5)/4
-	}
-	mixed := []core.GAP{competition, core.PureCompetition(), {QA0: 0.3, QAB: 0.9, QB0: 0.6, QBA: 0.1}}
-	nodeGAPs := make([]core.GAP, g.N())
-	for v := range nodeGAPs {
-		nodeGAPs[v] = mixed[v%len(mixed)]
-	}
 	seedsB := []int32{2, 4, 30}
 	seedsA := []int32{10, 2, 11, 4, 12} // dual seeds 2, then 4
 	same := []struct {
@@ -1058,17 +967,13 @@ func TestSameRunsMatchesRun(t *testing.T) {
 	}
 	modes := []struct {
 		name  string
-		setup func(*core.Simulator)
 		world bool
 	}{
-		{name: "lazy", setup: func(*core.Simulator) {}},
-		{name: "world", setup: func(*core.Simulator) {}, world: true},
-		{name: "item probs", setup: func(s *core.Simulator) { s.SetItemProbs(pA, pB) }},
-		{name: "node GAPs", setup: func(s *core.Simulator) { s.SetNodeGAPs(nodeGAPs) }},
+		{name: "lazy"},
+		{name: "world", world: true},
 	}
 	for _, m := range modes {
 		sim := core.NewSimulator(g, competition)
-		m.setup(sim)
 		var w core.World
 		runs := func(seedsA []int32) []outcome {
 			out := make([]outcome, 300)

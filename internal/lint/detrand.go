@@ -55,8 +55,9 @@ var DetrandAnalyzer = &analysis.Analyzer{
 	Name: "detrand",
 	Doc: `forbid ambient randomness and wall-clock reads in determinism-critical packages
 
-The seed-selection pipeline (internal/rrset, internal/rng, internal/solver,
-internal/montecarlo, internal/multi, internal/exact, internal/seeds) must produce byte-identical results for a given master seed
+The seed-selection pipeline (internal/core, internal/rrset, internal/rng,
+internal/solver, internal/montecarlo, internal/multi, internal/exact,
+internal/seeds) must produce byte-identical results for a given master seed
 regardless of worker count or scheduling. math/rand draws from global,
 schedule-dependent state, and wall-clock reads leak real time into the
 computation; both are banned there. Randomness comes from comic/internal/rng

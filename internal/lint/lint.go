@@ -96,6 +96,7 @@ func SuggestedDirective(analyzer string) string {
 // these as a segment-aligned suffix path (so both "comic/internal/rrset" and
 // the analysistest fixture path "detrand/internal/rrset" qualify).
 var criticalRoots = []string{
+	"internal/core",
 	"internal/rrset",
 	"internal/rng",
 	"internal/solver",

@@ -99,25 +99,21 @@ func FromPairGAP(gap core.GAP) *GAPTable {
 }
 
 // Simulator runs k-item Com-IC diffusions. Like core.Simulator it reuses
-// scratch arrays and is not safe for concurrent use.
+// scratch arrays, takes its randomness from a core.Draws (thresholds indexed
+// v·k + i), and is not safe for concurrent use.
 type Simulator struct {
-	g *graph.Graph
-	t *GAPTable
+	t     *GAPTable
+	draws core.Draws
 
 	epoch    uint32
 	adopted  []uint32 // bitmask per node
 	informed []uint32
 	stampN   []uint32
-	alpha    []float64 // node*k + item
-	stampAl  []uint32
-	eState   []uint8
-	stampE   []uint32
 
 	cur, next []event
 	informs   []inform
 	counts    []int
 	seq       int32
-	r         *rng.RNG
 }
 
 type event struct {
@@ -135,16 +131,13 @@ type inform struct {
 
 // NewSimulator returns a Simulator for g under the GAP table.
 func NewSimulator(g *graph.Graph, t *GAPTable) *Simulator {
-	n, m := g.N(), g.M()
+	n := g.N()
 	return &Simulator{
-		g: g, t: t,
+		t:        t,
+		draws:    core.NewDraws(g, t.k),
 		adopted:  make([]uint32, n),
 		informed: make([]uint32, n),
 		stampN:   make([]uint32, n),
-		alpha:    make([]float64, n*t.k),
-		stampAl:  make([]uint32, n*t.k),
-		eState:   make([]uint8, m),
-		stampE:   make([]uint32, m),
 		counts:   make([]int, t.k),
 	}
 }
@@ -152,15 +145,7 @@ func NewSimulator(g *graph.Graph, t *GAPTable) *Simulator {
 func (s *Simulator) bump() {
 	s.epoch++
 	if s.epoch == 0 {
-		for i := range s.stampN {
-			s.stampN[i] = 0
-		}
-		for i := range s.stampAl {
-			s.stampAl[i] = 0
-		}
-		for i := range s.stampE {
-			s.stampE[i] = 0
-		}
+		clear(s.stampN)
 		s.epoch = 1
 	}
 }
@@ -171,27 +156,6 @@ func (s *Simulator) touch(v int32) {
 		s.adopted[v] = 0
 		s.informed[v] = 0
 	}
-}
-
-func (s *Simulator) alphaOf(v int32, item uint8) float64 {
-	idx := int(v)*s.t.k + int(item)
-	if s.stampAl[idx] != s.epoch {
-		s.stampAl[idx] = s.epoch
-		s.alpha[idx] = s.r.Float64()
-	}
-	return s.alpha[idx]
-}
-
-func (s *Simulator) edgeLive(eid int32) bool {
-	if s.stampE[eid] != s.epoch {
-		s.stampE[eid] = s.epoch
-		if s.r.Bernoulli(s.g.Prob(eid)) {
-			s.eState[eid] = 1
-		} else {
-			s.eState[eid] = 2
-		}
-	}
-	return s.eState[eid] == 1
 }
 
 // adopt makes v adopt item and triggers reconsideration of every informed,
@@ -215,7 +179,7 @@ func (s *Simulator) adopt(v int32, item uint8) {
 			if pending&(1<<i) == 0 {
 				continue
 			}
-			if s.alphaOf(v, i) <= s.t.Get(int(i), s.adopted[v]) {
+			if s.draws.Alpha(v, core.Item(i)) <= s.t.Get(int(i), s.adopted[v]) {
 				s.adopted[v] |= 1 << i
 				s.counts[int(i)]++
 				s.seq++
@@ -236,7 +200,7 @@ func (s *Simulator) processInform(v int32, item uint8) {
 		return // idle->X transition happens at most once per item
 	}
 	s.informed[v] |= bit
-	if s.alphaOf(v, item) <= s.t.Get(int(item), s.adopted[v]) {
+	if s.draws.Alpha(v, core.Item(item)) <= s.t.Get(int(item), s.adopted[v]) {
 		s.adopt(v, item)
 	}
 }
@@ -258,7 +222,7 @@ func (s *Simulator) Run(seedSets [][]int32, r *rng.RNG) []int {
 	if len(seedSets) != s.t.k {
 		panic(fmt.Sprintf("multi: %d seed sets for k=%d items", len(seedSets), s.t.k))
 	}
-	s.r = r
+	s.draws.Begin(r)
 	s.bump()
 	s.seq = 0
 	for i := range s.counts {
@@ -283,7 +247,6 @@ func (s *Simulator) Run(seedSets [][]int32, r *rng.RNG) []int {
 		s.cur, s.next = s.next, s.cur[:0]
 		s.step()
 	}
-	s.r = nil
 	return s.counts
 }
 
@@ -301,12 +264,12 @@ func (s *Simulator) step() {
 			j++
 		}
 		u := s.cur[i].node
-		to, eids := s.g.OutNeighbors(u)
+		to, eids := s.draws.Graph().OutNeighbors(u)
 		for e := range to {
-			if !s.edgeLive(eids[e]) {
+			if !s.draws.EdgeLive(eids[e]) {
 				continue
 			}
-			rank := s.r.Float64()
+			rank := s.draws.Rank(eids[e])
 			for _, ev := range s.cur[i:j] {
 				s.informs = append(s.informs, inform{
 					target: to[e], item: ev.item, rank: rank, seq: ev.seq,

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"hash/fnv"
 	"math"
+	"reflect"
 	"testing"
 
 	"comic/internal/core"
@@ -194,6 +195,41 @@ func TestRunPanicsOnWrongSeedSets(t *testing.T) {
 		}
 	}()
 	sim.Run([][]int32{{0}}, rng.New(1))
+}
+
+// TestSimulatorEpochWrap runs the simulator's node stamps across their
+// 2^32 wrap. A run at epoch 1 stamps the seeds and the nodes they reach;
+// the two runs just below the wrap start from another seed. After the
+// wrap, every run's counts and adoption masks must equal a fresh
+// simulator's on the same stream.
+func TestSimulatorEpochWrap(t *testing.T) {
+	g := graph.ErdosRenyi(40, 200, rng.New(3))
+	graph.AssignUniform(g, 0.3)
+	tab := FromPairGAP(core.GAP{QA0: 0.3, QAB: 0.8, QB0: 0.4, QBA: 0.9})
+	outcome := func(s *Simulator, seeds [][]int32, r *rng.RNG) []int {
+		out := append([]int(nil), s.Run(seeds, r)...)
+		for v := int32(0); v < int32(g.N()); v++ {
+			out = append(out, int(s.AdoptedMask(v)))
+		}
+		return out
+	}
+	seeds := [][]int32{{0, 1, 2}, {2, 3}}
+	sim := NewSimulator(g, tab)
+	outcome(sim, seeds, rng.NewStream(5, 0))
+	sim.epoch = math.MaxUint32 - 2
+	for run := uint64(0); run < 6; run++ {
+		s := seeds
+		if run < 2 {
+			s = [][]int32{{20}, nil}
+		}
+		want := outcome(NewSimulator(g, tab), s, rng.NewStream(7, run))
+		if got := outcome(sim, s, rng.NewStream(7, run)); !reflect.DeepEqual(got, want) {
+			t.Fatalf("run %d (epoch %d): %v, want %v", run, sim.epoch, got, want)
+		}
+	}
+	if sim.epoch != 4 {
+		t.Fatalf("epoch %d after the wrap, want 4", sim.epoch)
+	}
 }
 
 // TestMultiGolden pins the exact output of the k-item simulator: the counts

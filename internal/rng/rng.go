@@ -170,9 +170,6 @@ func (r *RNG) Intn(n int) int {
 	return int(hi)
 }
 
-// Int31 returns a uniform int32 in [0, n).
-func (r *RNG) Int31(n int32) int32 { return int32(r.Intn(int(n))) }
-
 // Perm fills out with a uniform random permutation of [0, len(out)).
 func (r *RNG) Perm(out []int32) {
 	for i := range out {

@@ -82,7 +82,7 @@ func newCIM(g *graph.Graph, gap core.GAP, seedsA []int32, world *core.World) *CI
 }
 
 // Clone implements Generator.
-func (c *CIM) Clone() Generator { return newCIM(c.s.g, c.gap, c.seedsA, c.s.world) }
+func (c *CIM) Clone() Generator { return newCIM(c.Graph(), c.gap, c.seedsA, c.World()) }
 
 func (c *CIM) labelOf(v int32) uint8 {
 	if c.labelStamp[v] != c.labelEpoch {
@@ -99,17 +99,17 @@ func (c *CIM) setLabel(v int32, l uint8) {
 // abDiffusible reports whether v adopts both items when informed of both
 // (§6.3): α_A ≤ q_{A|∅}, or α_A ∈ (q_{A|∅}, q_{A|B}] with α_B ≤ q_{B|∅}.
 func (c *CIM) abDiffusible(v int32) bool {
-	aa := c.s.alphaA(v)
+	aa := c.Alpha(v, core.A)
 	if aa <= c.gap.QA0 {
 		return true
 	}
-	return aa <= c.gap.QAB && c.s.alphaB(v) <= c.gap.QB0
+	return aa <= c.gap.QAB && c.Alpha(v, core.B) <= c.gap.QB0
 }
 
 // bDiffusible reports whether v adopts B when informed of it: α_B ≤ q_{B|∅}
 // or v is A-adopted (q_{B|A} = 1).
 func (c *CIM) bDiffusible(v int32) bool {
-	return c.s.alphaB(v) <= c.gap.QB0 || c.labelOf(v) == lblAdopted
+	return c.Alpha(v, core.B) <= c.gap.QB0 || c.labelOf(v) == lblAdopted
 }
 
 // forwardLabel runs Phase I: BFS from S_A assigning the Eq. 4 labels, with
@@ -124,7 +124,7 @@ func (c *CIM) forwardLabel() {
 		}
 		c.labelEpoch = 1
 	}
-	g := c.s.g
+	g := c.Graph()
 	c.queue = c.queue[:0]
 	for _, v := range c.seedsA {
 		if c.labelOf(v) != lblAdopted {
@@ -142,10 +142,10 @@ func (c *CIM) forwardLabel() {
 		for i := range to {
 			v := to[i]
 			c.counters.EdgesForward++
-			if !c.s.edgeLive(eids[i]) {
+			if !c.EdgeLive(eids[i]) {
 				continue
 			}
-			if c.s.alphaA(v) > c.gap.QAB {
+			if c.Alpha(v, core.A) > c.gap.QAB {
 				if c.labelOf(v) == lblNone {
 					c.setLabel(v, lblRejected)
 				}
@@ -153,7 +153,7 @@ func (c *CIM) forwardLabel() {
 			}
 			var cand uint8
 			if lu == lblAdopted {
-				if c.s.alphaA(v) <= c.gap.QA0 {
+				if c.Alpha(v, core.A) <= c.gap.QA0 {
 					cand = lblAdopted
 				} else {
 					cand = lblSuspended
@@ -172,7 +172,7 @@ func (c *CIM) forwardLabel() {
 // addR inserts v into the RR set if not already present.
 func (c *CIM) addR(out *RRSet, v int32) {
 	if c.inR.mark(v) {
-		addNode(c.s.g, out, v)
+		addNode(c.Graph(), out, v)
 	}
 }
 
@@ -181,7 +181,7 @@ func (c *CIM) addR(out *RRSet, v int32) {
 // valid B seed for the root, so it joins R. Non-B-diffusible nodes join R
 // (they can seed B themselves) but are not expanded.
 func (c *CIM) secondaryBackwardB(u int32, out *RRSet) {
-	g := c.s.g
+	g := c.Graph()
 	c.squeue = append(c.squeue[:0], u)
 	c.svisited.mark(u)
 	for head := 0; head < len(c.squeue); head++ {
@@ -190,7 +190,7 @@ func (c *CIM) secondaryBackwardB(u int32, out *RRSet) {
 		for i := range from {
 			w := from[i]
 			c.counters.EdgesSecondary++
-			if !c.s.edgeLive(eids[i]) {
+			if !c.EdgeLive(eids[i]) {
 				continue
 			}
 			if !c.svisited.mark(w) {
@@ -210,7 +210,7 @@ func (c *CIM) secondaryBackwardB(u int32, out *RRSet) {
 // (forward set Sf) such that u0 reaches back to u through AB-diffusible
 // A-labeled nodes (backward set Sb) — the zig-zag of Figure 3.
 func (c *CIM) case4(u int32) bool {
-	g := c.s.g
+	g := c.Graph()
 	// Forward scope: B-diffusible reachability from u (terminals included).
 	c.sf.reset()
 	c.squeue = append(c.squeue[:0], u)
@@ -221,7 +221,7 @@ func (c *CIM) case4(u int32) bool {
 		for i := range to {
 			y := to[i]
 			c.counters.EdgesSecondary++
-			if !c.s.edgeLive(eids[i]) {
+			if !c.EdgeLive(eids[i]) {
 				continue
 			}
 			if !c.sf.mark(y) {
@@ -243,7 +243,7 @@ func (c *CIM) case4(u int32) bool {
 		for i := range from {
 			w := from[i]
 			c.counters.EdgesSecondary++
-			if !c.s.edgeLive(eids[i]) {
+			if !c.EdgeLive(eids[i]) {
 				continue
 			}
 			if c.sb.has(w) {
@@ -269,8 +269,8 @@ func (c *CIM) case4(u int32) bool {
 
 // Generate implements Generator.
 func (c *CIM) Generate(root int32, r *rng.RNG, out *RRSet) {
-	g := c.s.g
-	c.s.begin(r)
+	g := c.Graph()
+	c.Begin(r)
 	c.forwardLabel()
 	out.Reset(root)
 	c.counters.Sets++
@@ -303,7 +303,7 @@ func (c *CIM) Generate(root int32, r *rng.RNG, out *RRSet) {
 				from, eids := g.InNeighbors(u)
 				for i := range from {
 					c.counters.EdgesBackward++
-					if !c.pvisited.has(from[i]) && c.s.edgeLive(eids[i]) {
+					if !c.pvisited.has(from[i]) && c.EdgeLive(eids[i]) {
 						c.pvisited.mark(from[i])
 						c.queue = append(c.queue, from[i])
 					}

@@ -24,12 +24,12 @@ func newIC(g *graph.Graph, world *core.World) *IC {
 }
 
 // Clone implements Generator.
-func (ic *IC) Clone() Generator { return newIC(ic.s.g, ic.s.world) }
+func (ic *IC) Clone() Generator { return newIC(ic.Graph(), ic.World()) }
 
 // Generate implements Generator.
 func (ic *IC) Generate(root int32, r *rng.RNG, out *RRSet) {
-	g := ic.s.g
-	ic.s.begin(r)
+	g := ic.Graph()
+	ic.Begin(r)
 	ic.visited.reset()
 	out.Reset(root)
 	// BFS with a head index rather than popping via queue = queue[1:]:
@@ -44,7 +44,7 @@ func (ic *IC) Generate(root int32, r *rng.RNG, out *RRSet) {
 		from, eids := g.InNeighbors(u)
 		for i := range from {
 			ic.counters.EdgesBackward++
-			if !ic.visited.has(from[i]) && ic.s.edgeLive(eids[i]) {
+			if !ic.visited.has(from[i]) && ic.EdgeLive(eids[i]) {
 				ic.visited.mark(from[i])
 				ic.queue = append(ic.queue, from[i])
 			}

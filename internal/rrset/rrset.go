@@ -87,115 +87,27 @@ type Generator interface {
 	Counters() *Counters
 }
 
-// base is embedded by every generator: the sampler its draws come from,
-// its exploration counters, and the Generator methods that need nothing
-// else.
+// base is embedded by every generator: the possible world its draws come
+// from (whose SetWorld implements Generator's), its exploration counters,
+// and the Generator methods that need nothing else.
 type base struct {
-	s        sampler
+	core.Draws
 	counters Counters
 }
 
-// N implements Generator.
-func (b *base) N() int { return b.s.g.N() }
-
-// SetWorld implements Generator. Like core.Simulator.SetWorld it panics on
-// a world sampled for another graph.
-func (b *base) SetWorld(w *core.World) {
-	if w != nil {
-		w.MustFit(b.s.g)
-	}
-	b.s.world = w
+// newBase returns a generator base on g that reads world (nil draws
+// lazily).
+func newBase(g *graph.Graph, world *core.World) base {
+	b := base{Draws: core.NewDraws(g, 2)}
+	b.SetWorld(world)
+	return b
 }
+
+// N implements Generator.
+func (b *base) N() int { return b.Graph().N() }
 
 // Counters implements Generator.
 func (b *base) Counters() *Counters { return &b.counters }
-
-// sampler provides lazily-sampled, per-generation-memoized randomness
-// (edge coins and α thresholds), or world-injected values.
-type sampler struct {
-	g     *graph.Graph
-	world *core.World
-	r     *rng.RNG
-
-	epoch uint32
-	// eMemo packs each edge's memo word as epoch<<2 | state (state 1 live,
-	// 2 blocked): the stamp check and the state read in edgeLive — the
-	// hottest loads in RR-set generation — touch one cache line, not two
-	// parallel arrays.
-	eMemo   []uint32
-	alA     []float64
-	alAStmp []uint32
-	alB     []float64
-	alBStmp []uint32
-}
-
-// newBase returns a generator base on g that reads world (nil samples
-// lazily).
-func newBase(g *graph.Graph, world *core.World) base {
-	return base{s: sampler{
-		g:       g,
-		world:   world,
-		eMemo:   make([]uint32, g.M()),
-		alA:     make([]float64, g.N()),
-		alAStmp: make([]uint32, g.N()),
-		alB:     make([]float64, g.N()),
-		alBStmp: make([]uint32, g.N()),
-	}}
-}
-
-// begin starts a fresh possible world for one RR-set generation.
-func (s *sampler) begin(r *rng.RNG) {
-	s.r = r
-	s.epoch++
-	if s.epoch == 1<<30 { // eMemo keeps 30 epoch bits; wrap and reset
-		for i := range s.eMemo {
-			s.eMemo[i] = 0
-		}
-		for i := range s.alAStmp {
-			s.alAStmp[i] = 0
-			s.alBStmp[i] = 0
-		}
-		s.epoch = 1
-	}
-}
-
-func (s *sampler) edgeLive(eid int32) bool {
-	if s.world != nil {
-		return s.world.EdgeLive[eid]
-	}
-	w := s.eMemo[eid]
-	if w>>2 != s.epoch {
-		if s.r.Bernoulli(s.g.Prob(eid)) {
-			w = s.epoch<<2 | 1
-		} else {
-			w = s.epoch<<2 | 2
-		}
-		s.eMemo[eid] = w
-	}
-	return w&3 == 1
-}
-
-func (s *sampler) alphaA(v int32) float64 {
-	if s.world != nil {
-		return s.world.AlphaA[v]
-	}
-	if s.alAStmp[v] != s.epoch {
-		s.alAStmp[v] = s.epoch
-		s.alA[v] = s.r.Float64()
-	}
-	return s.alA[v]
-}
-
-func (s *sampler) alphaB(v int32) float64 {
-	if s.world != nil {
-		return s.world.AlphaB[v]
-	}
-	if s.alBStmp[v] != s.epoch {
-		s.alBStmp[v] = s.epoch
-		s.alB[v] = s.r.Float64()
-	}
-	return s.alB[v]
-}
 
 // marker is an O(1)-reset visited set over node ids.
 type marker struct {

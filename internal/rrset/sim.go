@@ -68,7 +68,7 @@ func checkSIM(g *graph.Graph, gap core.GAP, seedsB []int32) error {
 
 // clone returns fresh shared state with s's configuration and world.
 func (s *simPasses) clone() simPasses {
-	return newSIMPasses(s.s.g, s.gap, s.seedsB, s.s.world)
+	return newSIMPasses(s.Graph(), s.gap, s.seedsB, s.World())
 }
 
 // Clone implements Generator.
@@ -76,7 +76,7 @@ func (s *SIM) Clone() Generator { return &SIM{s.clone()} }
 
 // Generate implements Generator.
 func (s *SIM) Generate(root int32, r *rng.RNG, out *RRSet) {
-	s.s.begin(r)
+	s.Begin(r)
 	s.labelB(nil)
 	s.relayA(root, out)
 }
@@ -95,7 +95,7 @@ func (s *simPasses) labelB(scope *marker) {
 			s.queue = append(s.queue, v)
 		}
 	}
-	g := s.s.g
+	g := s.Graph()
 	// Head-index BFS: popping via queue = queue[1:] would strand capacity
 	// and reallocate the queue on every generation (see IC.Generate).
 	for head := 0; head < len(s.queue); head++ {
@@ -107,7 +107,7 @@ func (s *simPasses) labelB(scope *marker) {
 				continue
 			}
 			s.counters.EdgesForward++
-			if s.s.edgeLive(eids[i]) && s.s.alphaB(v) <= s.gap.QB0 {
+			if s.EdgeLive(eids[i]) && s.Alpha(v, core.B) <= s.gap.QB0 {
 				s.bAdopted.mark(v)
 				s.queue = append(s.queue, v)
 			}
@@ -119,7 +119,7 @@ func (s *simPasses) labelB(scope *marker) {
 // from root that passes through every node that adopts A once informed of
 // it, collecting RR(root) into out.
 func (s *simPasses) relayA(root int32, out *RRSet) {
-	g := s.s.g
+	g := s.Graph()
 	out.Reset(root)
 	s.visited.reset()
 	s.queue = append(s.queue[:0], root)
@@ -131,7 +131,7 @@ func (s *simPasses) relayA(root int32, out *RRSet) {
 		if s.bAdopted.has(u) {
 			q = s.gap.QAB
 		}
-		if s.s.alphaA(u) > q {
+		if s.Alpha(u, core.A) > q {
 			// u can become A-adopted only as a seed itself; its
 			// in-neighbors cannot push A through it (Case 1(ii)/2(ii)).
 			continue
@@ -139,7 +139,7 @@ func (s *simPasses) relayA(root int32, out *RRSet) {
 		from, eids := g.InNeighbors(u)
 		for i := range from {
 			s.counters.EdgesBackward++
-			if !s.visited.has(from[i]) && s.s.edgeLive(eids[i]) {
+			if !s.visited.has(from[i]) && s.EdgeLive(eids[i]) {
 				s.visited.mark(from[i])
 				s.queue = append(s.queue, from[i])
 			}

@@ -30,8 +30,8 @@ func (s *SIMPlus) Clone() Generator { return &SIMPlus{s.clone(), newMarker(s.N()
 
 // Generate implements Generator.
 func (s *SIMPlus) Generate(root int32, r *rng.RNG, out *RRSet) {
-	g := s.s.g
-	s.s.begin(r)
+	g := s.Graph()
+	s.Begin(r)
 
 	// First backward BFS: T1 = all nodes with a live path to the root.
 	// Following Algorithm 3 line 6, edges into already-visited nodes are
@@ -47,7 +47,7 @@ func (s *SIMPlus) Generate(root int32, r *rng.RNG, out *RRSet) {
 				continue
 			}
 			s.counters.EdgesBackwardFirst++
-			if s.s.edgeLive(eids[i]) {
+			if s.EdgeLive(eids[i]) {
 				s.t1.mark(from[i])
 				s.queue = append(s.queue, from[i])
 			}
