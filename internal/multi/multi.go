@@ -12,8 +12,9 @@
 package multi
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"comic/internal/core"
 	"comic/internal/graph"
@@ -113,6 +114,7 @@ type Simulator struct {
 	cur, next []event
 	informs   []inform
 	counts    []int
+	order     []int32 // the run's seed-item order
 	seq       int32
 }
 
@@ -139,6 +141,7 @@ func NewSimulator(g *graph.Graph, t *GAPTable) *Simulator {
 		informed: make([]uint32, n),
 		stampN:   make([]uint32, n),
 		counts:   make([]int, t.k),
+		order:    make([]int32, t.k),
 	}
 }
 
@@ -232,9 +235,8 @@ func (s *Simulator) Run(seedSets [][]int32, r *rng.RNG) []int {
 	s.next = s.next[:0]
 
 	// Seeds adopt in random item order per node (generalizing the τ coin).
-	order := make([]int32, s.t.k)
-	r.Perm(order)
-	for _, itemIdx := range order {
+	r.Perm(s.order)
+	for _, itemIdx := range s.order {
 		for _, v := range seedSets[itemIdx] {
 			s.touch(v)
 			if s.adopted[v]&(1<<uint(itemIdx)) == 0 {
@@ -250,13 +252,17 @@ func (s *Simulator) Run(seedSets [][]int32, r *rng.RNG) []int {
 	return s.counts
 }
 
+// step propagates the previous step's adoptions. Both sorts order distinct
+// entries totally ((node, seq) and (target, rank, seq) are unique keys, up
+// to entries equal in every field), so their result does not depend on the
+// sort algorithm.
 func (s *Simulator) step() {
 	s.informs = s.informs[:0]
-	sort.Slice(s.cur, func(i, j int) bool {
-		if s.cur[i].node != s.cur[j].node {
-			return s.cur[i].node < s.cur[j].node
+	slices.SortFunc(s.cur, func(a, b event) int {
+		if a.node != b.node {
+			return cmp.Compare(a.node, b.node)
 		}
-		return s.cur[i].seq < s.cur[j].seq
+		return cmp.Compare(a.seq, b.seq)
 	})
 	for i := 0; i < len(s.cur); {
 		j := i + 1
@@ -278,15 +284,17 @@ func (s *Simulator) step() {
 		}
 		i = j
 	}
-	sort.Slice(s.informs, func(i, j int) bool {
-		a, b := &s.informs[i], &s.informs[j]
+	slices.SortFunc(s.informs, func(a, b inform) int {
 		if a.target != b.target {
-			return a.target < b.target
+			return cmp.Compare(a.target, b.target)
 		}
 		if a.rank != b.rank {
-			return a.rank < b.rank
+			if a.rank < b.rank {
+				return -1
+			}
+			return 1
 		}
-		return a.seq < b.seq
+		return cmp.Compare(a.seq, b.seq)
 	})
 	for i := range s.informs {
 		s.processInform(s.informs[i].target, s.informs[i].item)

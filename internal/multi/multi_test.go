@@ -232,6 +232,24 @@ func TestSimulatorEpochWrap(t *testing.T) {
 	}
 }
 
+// TestRunAllocs: once a run has grown its scratch buffers, the simulator
+// allocates nothing per run, as core.Simulator does not.
+func TestRunAllocs(t *testing.T) {
+	g := graph.PowerLaw(2000, 8, 2.16, true, rng.New(4))
+	graph.AssignWeightedCascade(g)
+	sim := NewSimulator(g, FromPairGAP(core.GAP{QA0: 0.3, QAB: 0.8, QB0: 0.4, QBA: 0.9}))
+	seeds := [][]int32{{0, 1, 2, 3, 4}, {3, 4, 5, 6, 7}}
+	var r rng.RNG
+	run := func() {
+		r.ReseedStream(3, 0)
+		sim.Run(seeds, &r)
+	}
+	run()
+	if allocs := testing.AllocsPerRun(20, run); allocs != 0 {
+		t.Fatalf("%v allocations per run, want 0", allocs)
+	}
+}
+
 // TestMultiGolden pins the exact output of the k-item simulator: the counts
 // and every node's AdoptedMask after each of 300 stream-seeded runs of a
 // 3-item table, folded into one FNV-64a digest. The seed sets share nodes,
