@@ -41,7 +41,7 @@ type restoreBenchRecord struct {
 	RestoreNs int64 `json:"restoreNs"`
 	WarmNs    int64 `json:"warmNs"`
 	// RestoredCollections/RestoredBytes describe the rehydrated index
-	// (exact arena accounting); WarmBuilds must be 0.
+	// (exact coverage-index accounting); WarmBuilds must be 0.
 	RestoredCollections int64   `json:"restoredCollections"`
 	RestoredBytes       int64   `json:"restoredBytes"`
 	WarmBuilds          int64   `json:"warmBuilds"`

@@ -364,8 +364,8 @@ type Server = server.Server
 func NewServer(cfg ServeConfig) (*Server, error) { return server.New(cfg) }
 
 // NewRRIndex returns an empty RR-set index bounded to maxBytes of resident
-// RR-set data — exact: collections are arena-backed and report their true
-// footprint (<= 0 means unbounded).
+// RR-set data — exact: a collection keeps only its coverage index and
+// reports its true footprint (<= 0 means unbounded).
 func NewRRIndex(maxBytes int64) *RRIndex { return server.NewIndex(maxBytes) }
 
 // NewServeHandler returns an http.Handler exposing the comic v1 JSON API

@@ -13,9 +13,8 @@ import (
 // Binary snapshot codec for Collection. Collections are expensive to build
 // and cheap to reuse — the amortization the whole serving layer is built on
 // — so they are exactly the state worth persisting across restarts. The
-// arena layout (one flat []int32 node buffer plus offsets/roots/widths)
-// makes the on-disk format a near-memcpy of the in-memory one: four length-
-// prefixed little-endian arrays behind a fixed header.
+// on-disk format is a near-memcpy of the in-memory coverage index: two
+// little-endian arrays behind a fixed header.
 //
 // The format is versioned and checksummed, and the header carries the cache
 // key, the graph's node/edge counts, and the build statistics, so a loader
@@ -30,26 +29,31 @@ import (
 //	explored, exploredKPT        (6 × i64 each)
 //	kptNs, genNs                 (i64)
 //	numSets, numNodes            (i64)
-//	offsets  (numSets+1 × i64)
-//	roots    (numSets   × i32)
-//	widths   (numSets   × i64)
-//	nodes    (numNodes  × i32)
+//	off   (graphN+1 × i64)       node v's postings are sets[off[v]:off[v+1]]
+//	sets  (numNodes × i32)       set ids, ascending within each node
 //	crc32c of everything above   (u32)
+//
+// Version 1 files, written while collections kept every set's nodes, hold
+// the sets themselves in place of off and sets: offsets (numSets+1 × i64),
+// roots (numSets × i32), widths (numSets × i64) and nodes (numNodes × i32),
+// set i's nodes being nodes[offsets[i]:offsets[i+1]]. They still restore:
+// the reader inverts their sets into the same coverage index a build makes.
 //
 // Anything after the checksum is ignored. Older writers appended a
 // seed-order section ("CORD") and a postings section ("CPST"), and their
 // snapshots still restore.
 //
 // Every array length is cross-checked against the header and against the
-// collection's own invariants (offsets monotone from 0 to numNodes, roots
-// and nodes inside [0, graphN), totalWidth = Σ widths), so a corrupt or
-// truncated file fails loudly. Reads are allocation-bounded: array storage
-// grows only as bytes actually arrive, so a forged header cannot demand
-// gigabytes up front.
+// collection's own invariants (offsets monotone from 0 to numNodes, set ids
+// inside [0, numSets) and strictly ascending within each node; for version
+// 1, roots and nodes inside [0, graphN) and totalWidth = Σ widths), so a
+// corrupt or truncated file fails loudly. Reads are allocation-bounded:
+// array storage grows only as bytes actually arrive, so a forged header
+// cannot demand gigabytes up front.
 
 // SnapshotVersion is the current on-disk format version. ReadCollection
-// rejects files written by any other version.
-const SnapshotVersion = 1
+// also restores version 1 and rejects every other version.
+const SnapshotVersion = 2
 
 var snapshotMagic = [4]byte{'C', 'R', 'R', 'S'}
 
@@ -57,10 +61,11 @@ var snapshotMagic = [4]byte{'C', 'R', 'R', 'S'}
 // header; real cache keys are a few hundred bytes.
 const maxSnapshotStringLen = 1 << 16
 
-// maxSnapshotCount bounds the declared set and node counts. The bound is
-// far above any real collection (2^48 elements would be petabytes) but far
-// below the int64 range where arithmetic like numSets+1 could overflow
-// into a negative slice capacity and panic instead of erroring.
+// maxSnapshotCount bounds the declared node count. The bound is far above
+// any real collection (2^48 elements would be petabytes) but far below the
+// int64 range where arithmetic on it could overflow into a negative slice
+// capacity and panic instead of erroring. The set count is bounded by the
+// int32 set ids instead.
 const maxSnapshotCount = 1 << 48
 
 var crcTable = crc32.MakeTable(crc32.Castagnoli)
@@ -95,11 +100,14 @@ func (s *Snapshot) WriteTo(w io.Writer) (int64, error) {
 	if len(s.Key) > maxSnapshotStringLen || len(s.GraphID) > maxSnapshotStringLen {
 		return 0, fmt.Errorf("rrset: snapshot key or graphID exceeds %d bytes", maxSnapshotStringLen)
 	}
-	numSets := int64(len(col.roots))
-	if int64(len(col.widths)) != numSets ||
-		(len(col.offsets) != int(numSets)+1 && !(numSets == 0 && len(col.offsets) == 0)) {
-		return 0, fmt.Errorf("rrset: inconsistent collection arena (sets %d, offsets %d, widths %d)",
-			numSets, len(col.offsets), len(col.widths))
+	off := col.cover.off
+	if off == nil && s.GraphN >= 0 {
+		// The zero Collection holds no sets: every node's postings are empty.
+		off = make([]int64, s.GraphN+1)
+	}
+	if s.GraphN < 0 || len(off) != s.GraphN+1 || int64(len(col.cover.sets)) != col.TotalNodes {
+		return 0, fmt.Errorf("rrset: inconsistent coverage index (%d offsets, %d set ids) for %d nodes and %d postings",
+			len(off), len(col.cover.sets), s.GraphN, col.TotalNodes)
 	}
 
 	cw := &countingWriter{w: w}
@@ -122,16 +130,10 @@ func (s *Snapshot) WriteTo(w io.Writer) (int64, error) {
 	e.counters(&col.ExploredKPT)
 	e.i64(int64(col.KPTDuration))
 	e.i64(int64(col.GenDuration))
-	e.i64(numSets)
-	e.i64(int64(len(col.nodes)))
-	if len(col.offsets) == 0 {
-		e.i64(0) // normalized empty collection: offsets is always numSets+1 long on disk
-	} else {
-		e.i64s(col.offsets)
-	}
-	e.i32s(col.roots)
-	e.i64s(col.widths)
-	e.i32s(col.nodes)
+	e.i64(int64(col.Theta))
+	e.i64(col.TotalNodes)
+	e.i64s(off)
+	e.i32s(col.cover.sets)
 
 	if e.err == nil {
 		var b [4]byte
@@ -160,8 +162,8 @@ func ReadCollection(r io.Reader) (*Snapshot, error) {
 		return nil, fmt.Errorf("rrset: bad snapshot magic %q", magic[:])
 	}
 	version := d.u32()
-	if d.err == nil && version != SnapshotVersion {
-		return nil, fmt.Errorf("rrset: snapshot version %d, want %d", version, SnapshotVersion)
+	if d.err == nil && version != 1 && version != SnapshotVersion {
+		return nil, fmt.Errorf("rrset: snapshot version %d, want 1 or %d", version, SnapshotVersion)
 	}
 	s := &Snapshot{}
 	col := &Collection{}
@@ -188,14 +190,14 @@ func ReadCollection(r io.Reader) (*Snapshot, error) {
 		return nil, fmt.Errorf("rrset: snapshot graph size %d/%d out of range", graphN, graphM)
 	}
 	s.GraphN, s.GraphM = int(graphN), int(graphM)
-	if numSets < 0 || numNodes < 0 || numSets > maxSnapshotCount || numNodes > maxSnapshotCount {
+	if numSets < 0 || numNodes < 0 || numSets > math.MaxInt32 || numNodes > maxSnapshotCount {
 		return nil, fmt.Errorf("rrset: snapshot lengths out of range (%d sets, %d nodes)", numSets, numNodes)
 	}
 	if int64(col.Theta) != numSets {
 		return nil, fmt.Errorf("rrset: snapshot theta %d does not match %d sets", col.Theta, numSets)
 	}
 	if col.TotalNodes != numNodes {
-		return nil, fmt.Errorf("rrset: snapshot totalNodes %d does not match %d arena nodes", col.TotalNodes, numNodes)
+		return nil, fmt.Errorf("rrset: snapshot totalNodes %d does not match %d postings", col.TotalNodes, numNodes)
 	}
 	if numSets > 0 && graphN == 0 {
 		return nil, fmt.Errorf("rrset: snapshot has %d sets on an empty graph", numSets)
@@ -204,10 +206,16 @@ func ReadCollection(r io.Reader) (*Snapshot, error) {
 		return nil, fmt.Errorf("rrset: negative snapshot durations")
 	}
 
-	col.offsets = d.i64s(numSets + 1)
-	col.roots = d.i32s(numSets)
-	col.widths = d.i64s(numSets)
-	col.nodes = d.i32s(numNodes)
+	var v1 arenaV1
+	if version == 1 {
+		v1.offsets = d.i64s(numSets + 1)
+		v1.roots = d.i32s(numSets)
+		v1.widths = d.i64s(numSets)
+		v1.nodes = d.i32s(numNodes)
+	} else {
+		col.cover.off = d.i64s(graphN + 1)
+		col.cover.sets = d.i32s(numNodes)
+	}
 	if d.err != nil {
 		return nil, d.err
 	}
@@ -223,32 +231,91 @@ func ReadCollection(r io.Reader) (*Snapshot, error) {
 		return nil, fmt.Errorf("rrset: snapshot checksum mismatch (file %08x, computed %08x)", got, want)
 	}
 
-	if col.offsets[0] != 0 || col.offsets[numSets] != numNodes {
-		return nil, fmt.Errorf("rrset: snapshot offsets do not span the node arena")
+	if version == 1 {
+		if err := v1.check(graphN, col.TotalWidth); err != nil {
+			return nil, err
+		}
+		col.cover = newCoverIndex(int(graphN), v1.sets)
+	} else if col.TotalWidth < 0 {
+		return nil, fmt.Errorf("rrset: snapshot totalWidth %d negative", col.TotalWidth)
+	}
+	if err := checkCover(&col.cover, numSets, numNodes); err != nil {
+		return nil, err
+	}
+	return s, nil
+}
+
+// checkCover verifies a restored coverage index of numSets sets and
+// numNodes postings: offsets monotone from 0 to numNodes, and each node's
+// set ids inside [0, numSets) and strictly ascending.
+func checkCover(c *coverIndex, numSets, numNodes int64) error {
+	n := c.nodes()
+	if c.off[0] != 0 || c.off[n] != numNodes {
+		return fmt.Errorf("rrset: snapshot offsets do not span the %d postings", numNodes)
+	}
+	for v := 0; v < n; v++ {
+		if c.off[v+1] < c.off[v] || c.off[v+1] > numNodes {
+			return fmt.Errorf("rrset: snapshot offsets not monotone inside [0,%d] at node %d", numNodes, v)
+		}
+		prev := int64(-1)
+		for _, si := range c.postings(int32(v)) {
+			if int64(si) <= prev || int64(si) >= numSets {
+				return fmt.Errorf("rrset: snapshot set id %d of node %d not ascending inside [0,%d)", si, v, numSets)
+			}
+			prev = int64(si)
+		}
+	}
+	return nil
+}
+
+// arenaV1 is the set arena of a version-1 snapshot: set i's nodes are
+// nodes[offsets[i]:offsets[i+1]], with its root and width alongside.
+type arenaV1 struct {
+	offsets      []int64
+	roots, nodes []int32
+	widths       []int64
+}
+
+// check verifies the arena against a graph of graphN nodes and the
+// header's totalWidth: offsets monotone from 0 to len(nodes), roots and
+// nodes inside [0, graphN), and widths non-negative and summing to
+// totalWidth.
+func (a *arenaV1) check(graphN, totalWidth int64) error {
+	numSets := int64(len(a.roots))
+	if a.offsets[0] != 0 || a.offsets[numSets] != int64(len(a.nodes)) {
+		return fmt.Errorf("rrset: snapshot offsets do not span the node arena")
 	}
 	var width int64
 	for i := int64(0); i < numSets; i++ {
-		if col.offsets[i+1] < col.offsets[i] {
-			return nil, fmt.Errorf("rrset: snapshot offsets not monotone at set %d", i)
+		if a.offsets[i+1] < a.offsets[i] {
+			return fmt.Errorf("rrset: snapshot offsets not monotone at set %d", i)
 		}
-		if r := col.roots[i]; int64(r) < 0 || int64(r) >= graphN {
-			return nil, fmt.Errorf("rrset: snapshot root %d of set %d outside [0,%d)", r, i, graphN)
+		if r := a.roots[i]; int64(r) < 0 || int64(r) >= graphN {
+			return fmt.Errorf("rrset: snapshot root %d of set %d outside [0,%d)", r, i, graphN)
 		}
-		if col.widths[i] < 0 {
-			return nil, fmt.Errorf("rrset: snapshot width of set %d negative", i)
+		if a.widths[i] < 0 {
+			return fmt.Errorf("rrset: snapshot width of set %d negative", i)
 		}
-		width += col.widths[i]
+		width += a.widths[i]
 	}
-	if width != col.TotalWidth {
-		return nil, fmt.Errorf("rrset: snapshot totalWidth %d does not match sum %d", col.TotalWidth, width)
+	if width != totalWidth {
+		return fmt.Errorf("rrset: snapshot totalWidth %d does not match sum %d", totalWidth, width)
 	}
-	for i, v := range col.nodes {
+	for i, v := range a.nodes {
 		if int64(v) < 0 || int64(v) >= graphN {
-			return nil, fmt.Errorf("rrset: snapshot arena node %d at %d outside [0,%d)", v, i, graphN)
+			return fmt.Errorf("rrset: snapshot arena node %d at %d outside [0,%d)", v, i, graphN)
 		}
 	}
-	col.cover = buildCoverIndex(col.offsets, col.nodes, int(graphN))
-	return s, nil
+	return nil
+}
+
+// sets yields the arena's sets in ascending set id.
+func (a *arenaV1) sets(yield func([]int32) bool) {
+	for i := range a.roots {
+		if !yield(a.nodes[a.offsets[i]:a.offsets[i+1]]) {
+			return
+		}
+	}
 }
 
 // --- encoding plumbing ---

@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"comic/internal/core"
 	"comic/internal/graph"
 	"comic/internal/rng"
 )
@@ -36,7 +37,7 @@ func builtSnapshot(t *testing.T, theta int) *Snapshot {
 
 func TestSnapshotRoundTripBuilt(t *testing.T) {
 	// A collection built by the real generator must survive the codec
-	// byte-for-byte: identical header fields, identical arena, identical
+	// byte-for-byte: identical header fields, identical coverage index, identical
 	// exact Bytes() accounting, and identical seed selection.
 	s := builtSnapshot(t, 400)
 	data := encodeSnapshot(t, s)
@@ -52,7 +53,7 @@ func TestSnapshotRoundTripBuilt(t *testing.T) {
 		t.Fatalf("restored collection differs from original")
 	}
 	if got.Collection.Bytes() != s.Collection.Bytes() {
-		t.Fatalf("restored Bytes() %d != original %d (arena not exact-size)",
+		t.Fatalf("restored Bytes() %d != original %d (index not exact-size)",
 			got.Collection.Bytes(), s.Collection.Bytes())
 	}
 	wantSeeds, _ := SelectSeeds(s.Collection, 5)
@@ -86,14 +87,8 @@ func TestSnapshotRoundTripEmptyAndSingle(t *testing.T) {
 		n, m int
 	}{
 		{"empty-zero-value", &Collection{}, 0, 0},
-		{"empty-normalized", &Collection{offsets: []int64{0}}, 3, 2},
-		{"single-set", &Collection{
-			offsets:    []int64{0, 2},
-			nodes:      []int32{1, 0},
-			roots:      []int32{1},
-			widths:     []int64{3},
-			BuildStats: BuildStats{Theta: 1, TotalNodes: 2, TotalWidth: 3},
-		}, 3, 2},
+		{"empty-normalized", collectionFromSets(nil, 3), 3, 2},
+		{"single-set", collectionFromSets([]RRSet{{Root: 1, Nodes: []int32{1, 0}, Width: 3}}, 3), 3, 2},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -102,14 +97,14 @@ func TestSnapshotRoundTripEmptyAndSingle(t *testing.T) {
 			if err != nil {
 				t.Fatalf("ReadCollection: %v", err)
 			}
-			if got.Collection.Len() != tc.col.Len() || got.Collection.TotalNodes != tc.col.TotalNodes {
-				t.Fatalf("restored %d sets/%d nodes, want %d/%d",
-					got.Collection.Len(), got.Collection.TotalNodes, tc.col.Len(), tc.col.TotalNodes)
+			if got.Collection.Len() != tc.col.Len() || got.Collection.TotalNodes != tc.col.TotalNodes ||
+				got.Collection.TotalWidth != tc.col.TotalWidth {
+				t.Fatalf("restored %d sets/%d nodes/width %d, want %d/%d/%d",
+					got.Collection.Len(), got.Collection.TotalNodes, got.Collection.TotalWidth,
+					tc.col.Len(), tc.col.TotalNodes, tc.col.TotalWidth)
 			}
-			for i := 0; i < tc.col.Len(); i++ {
-				if !reflect.DeepEqual(got.Collection.Set(i), tc.col.Set(i)) {
-					t.Fatalf("set %d differs: %+v vs %+v", i, got.Collection.Set(i), tc.col.Set(i))
-				}
+			if gotSets, wantSets := setsOf(got.Collection), setsOf(tc.col); !reflect.DeepEqual(gotSets, wantSets) {
+				t.Fatalf("sets differ: %+v vs %+v", gotSets, wantSets)
 			}
 		})
 	}
@@ -120,26 +115,21 @@ func TestSnapshotLargeHeaderValues(t *testing.T) {
 	// counters, durations) must round-trip exactly — a codec that narrows
 	// through int or uint32 anywhere would corrupt multi-GiB collections.
 	big := int64(3) << 31 // > 2 GiB
-	col := &Collection{
-		offsets: []int64{0, 1, 2},
-		nodes:   []int32{0, 1},
-		roots:   []int32{0, 1},
-		widths:  []int64{big, big + 7},
-		BuildStats: BuildStats{
-			Theta:       2,
-			TotalNodes:  2,
-			TotalWidth:  2*big + 7,
-			Explored:    Counters{EdgesForward: big + 1, EdgesBackward: big + 2, Sets: 2},
-			ExploredKPT: Counters{EdgesSecondary: big + 3},
-			KPTDuration: time.Duration(big + 11),
-			GenDuration: time.Duration(big + 13),
-			KPT:         1e12,
-			Lambda:      2.5e18,
-		},
+	col := collectionFromSets([]RRSet{
+		{Root: 0, Nodes: []int32{0}, Width: big},
+		{Root: 1, Nodes: []int32{1}, Width: big + 7},
+	}, 2)
+	col.BuildStats = BuildStats{
+		Theta:       2,
+		TotalNodes:  2,
+		TotalWidth:  2*big + 7,
+		Explored:    Counters{EdgesForward: big + 1, EdgesBackward: big + 2, Sets: 2},
+		ExploredKPT: Counters{EdgesSecondary: big + 3},
+		KPTDuration: time.Duration(big + 11),
+		GenDuration: time.Duration(big + 13),
+		KPT:         1e12,
+		Lambda:      2.5e18,
 	}
-	// ReadCollection always rebuilds the coverage index; give the hand-made
-	// original one too so DeepEqual compares the full in-memory shape.
-	col.cover = buildCoverIndex(col.offsets, col.nodes, 2)
 	s := &Snapshot{Key: "big", GraphID: "g#9", GraphN: 2, GraphM: 1, Collection: col}
 	got, err := ReadCollection(bytes.NewReader(encodeSnapshot(t, s)))
 	if err != nil {
@@ -155,11 +145,13 @@ func TestSnapshotWriteRejectsInconsistent(t *testing.T) {
 	if _, err := (&Snapshot{}).WriteTo(&buf); err == nil {
 		t.Fatal("WriteTo accepted a snapshot with no collection")
 	}
-	bad := &Snapshot{Key: "k", GraphN: 1, Collection: &Collection{
-		roots: []int32{0}, widths: []int64{0}, offsets: []int64{0}, // offsets too short
-	}}
-	if _, err := bad.WriteTo(&buf); err == nil {
-		t.Fatal("WriteTo accepted an inconsistent arena")
+	col := collectionFromSets([]RRSet{{Nodes: []int32{0}}}, 1)
+	if _, err := (&Snapshot{Key: "k", GraphN: 2, Collection: col}).WriteTo(&buf); err == nil {
+		t.Fatal("WriteTo accepted a coverage index over another node count")
+	}
+	col.TotalNodes++
+	if _, err := (&Snapshot{Key: "k", GraphN: 1, Collection: col}).WriteTo(&buf); err == nil {
+		t.Fatal("WriteTo accepted a totalNodes the postings do not hold")
 	}
 }
 
@@ -188,22 +180,53 @@ func TestReadCollectionRejectsCorruption(t *testing.T) {
 	})
 }
 
+// TestReadCollectionRejectsInconsistentIndex: a coverage index that is
+// malformed under a valid checksum (offsets out of order or past the
+// postings, set ids out of range or not ascending) is an error, not a
+// panic and not a collection.
+func TestReadCollectionRejectsInconsistentIndex(t *testing.T) {
+	// Three sets {0,1}, {1}, {2} over three nodes: off = [0 1 3 4], and
+	// sets = [0 0 1 2], the file's last 32+16+4 bytes.
+	col := collectionFromSets([]RRSet{{Nodes: []int32{0, 1}}, {Nodes: []int32{1}}, {Nodes: []int32{2}}}, 3)
+	valid := encodeSnapshot(t, &Snapshot{Key: "k", GraphID: "g", GraphN: 3, GraphM: 0, Collection: col})
+	offAt, setsAt := len(valid)-4-16-32, len(valid)-4-16
+	for _, tc := range []struct {
+		name  string
+		at    int
+		value uint64
+		width int
+	}{
+		{"offset-past-postings", offAt + 8, 100, 8},
+		{"offsets-not-monotone", offAt + 16, 0, 8},
+		{"set-id-out-of-range", setsAt + 12, 3, 4},
+		{"set-ids-not-ascending", setsAt + 8, 0, 4},
+	} {
+		b := append([]byte(nil), valid...)
+		if tc.width == 8 {
+			binary.LittleEndian.PutUint64(b[tc.at:], tc.value)
+		} else {
+			binary.LittleEndian.PutUint32(b[tc.at:], uint32(tc.value))
+		}
+		binary.LittleEndian.PutUint32(b[len(b)-4:], crc32.Checksum(b[:len(b)-4], crcTable))
+		if _, err := ReadCollection(bytes.NewReader(b)); err == nil {
+			t.Errorf("%s: ReadCollection accepted an inconsistent index", tc.name)
+		}
+	}
+}
+
 func TestReadCollectionBoundedAllocation(t *testing.T) {
 	// A header declaring 2^40 sets followed by a truncated body must fail
 	// without attempting to allocate the declared size. A tiny snapshot is
 	// rewritten with forged lengths; success here is "error, no OOM".
-	col := &Collection{offsets: []int64{0}, roots: []int32{}, widths: []int64{}, nodes: []int32{}}
+	col := collectionFromSets(nil, 1)
 	valid := encodeSnapshot(t, &Snapshot{Key: "k", GraphID: "g", GraphN: 1, GraphM: 0, Collection: col})
 
-	// Forge numSets (third-to-last i64 before the arrays: the layout ends
-	// … numSets numNodes offsets(1×8) crc(4)) and theta (which must match
-	// numSets to get past the header cross-check; it sits after the two
-	// 1-byte strings and graphN/graphM, at offset 34 for this snapshot).
+	// Forge numSets and theta, which must match numSets to get past the
+	// header cross-check. With one-byte key and graphID strings, theta sits
+	// at offset 34 and numSets at 186, after the fixed-size header fields.
 	forge := func(fill func(b []byte, off int)) []byte {
 		b := append([]byte(nil), valid...)
-		// numSets (third-to-last i64 before the arrays) and theta (offset
-		// 34, which must match numSets to get past the cross-check).
-		for _, off := range []int{len(b) - 12 - 16, 34} {
+		for _, off := range []int{186, 34} {
 			fill(b, off)
 		}
 		return b
@@ -227,6 +250,85 @@ func TestReadCollectionBoundedAllocation(t *testing.T) {
 	})
 	if _, err := ReadCollection(bytes.NewReader(maxed)); err == nil {
 		t.Fatal("accepted MaxInt64 set count")
+	}
+}
+
+// encodeVersion1 encodes s in snapshot format 1, which stored the sets
+// themselves: s.Collection's header fields, then sets' offsets, roots,
+// widths and nodes, then the crc32c of everything before it.
+func encodeVersion1(tb testing.TB, s *Snapshot, sets []RRSet) []byte {
+	tb.Helper()
+	col := s.Collection
+	offsets := make([]int64, len(sets)+1)
+	roots := make([]int32, len(sets))
+	widths := make([]int64, len(sets))
+	var nodes []int32
+	for i := range sets {
+		nodes = append(nodes, sets[i].Nodes...)
+		offsets[i+1] = int64(len(nodes))
+		roots[i] = sets[i].Root
+		widths[i] = sets[i].Width
+	}
+	counters := func(c Counters) []int64 {
+		return []int64{c.EdgesForward, c.EdgesBackward, c.EdgesBackwardFirst, c.EdgesSecondary, c.Sets, c.EmptySets}
+	}
+	var b bytes.Buffer
+	b.WriteString("CRRS")
+	for _, v := range []any{
+		uint32(1), uint32(len(s.Key)), []byte(s.Key), uint32(len(s.GraphID)), []byte(s.GraphID),
+		int64(s.GraphN), int64(s.GraphM), int64(col.Theta), col.KPT, col.Lambda,
+		col.TotalNodes, col.TotalWidth, counters(col.Explored), counters(col.ExploredKPT),
+		int64(col.KPTDuration), int64(col.GenDuration), int64(len(sets)), int64(len(nodes)),
+		offsets, roots, widths, nodes,
+	} {
+		if err := binary.Write(&b, binary.LittleEndian, v); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	if err := binary.Write(&b, binary.LittleEndian, crc32.Checksum(b.Bytes(), crcTable)); err != nil {
+		tb.Fatal(err)
+	}
+	return b.Bytes()
+}
+
+// TestSnapshotVersion1Restores: a format-1 snapshot, which stored every
+// set's root, width and nodes in generation order, restores to the same
+// coverage index and statistics a build makes, and selects the same seeds.
+func TestSnapshotVersion1Restores(t *testing.T) {
+	g := graph.PowerLaw(300, 6, 2.16, true, rng.New(1))
+	graph.AssignWeightedCascade(g)
+	req := CollectionRequest{
+		Graph: g, Kind: KindSIMPlus, GAP: core.GAP{QA0: 0.3, QAB: 0.8, QB0: 0.5, QBA: 0.5},
+		Opposite: []int32{1, 2, 3}, K: 5, Opts: Options{FixedTheta: 400, Workers: 2}, Seed: 77,
+	}
+	col, err := req.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref, err := req.NewGenerator()
+	if err != nil {
+		t.Fatal(err)
+	}
+	sets := make([]RRSet, col.Len())
+	for i := range sets {
+		r := rng.NewStream(req.Seed, uint64(i))
+		ref.Generate(int32(r.Intn(g.N())), r, &sets[i])
+	}
+	s := &Snapshot{Key: req.Key(), GraphID: "pl300#1", GraphN: g.N(), GraphM: g.M(), Collection: col}
+	got, err := ReadCollection(bytes.NewReader(encodeVersion1(t, s, sets)))
+	if err != nil {
+		t.Fatalf("ReadCollection: %v", err)
+	}
+	if !reflect.DeepEqual(got, s) {
+		t.Fatal("version-1 snapshot restored to another collection than the build")
+	}
+	for _, k := range []int{1, 5, 20} {
+		want, wantSt := SelectSeeds(col, k)
+		have, haveSt := SelectSeeds(got.Collection, k)
+		if !reflect.DeepEqual(have, want) || haveSt.Coverage != wantSt.Coverage {
+			t.Fatalf("k=%d: restored selects %v (coverage %v), build %v (%v)",
+				k, have, haveSt.Coverage, want, wantSt.Coverage)
+		}
 	}
 }
 
@@ -284,16 +386,12 @@ func TestSnapshotIgnoresTrailingSections(t *testing.T) {
 }
 
 func FuzzReadCollection(f *testing.F) {
+	single := collectionFromSets([]RRSet{{Root: 1, Nodes: []int32{1, 0}, Width: 3}}, 3)
 	smalls := []*Snapshot{
 		{Key: "k", GraphID: "g#1", GraphN: 0, GraphM: 0, Collection: &Collection{}},
-		{Key: "single", GraphID: "g#1", GraphN: 3, GraphM: 2, Collection: &Collection{
-			offsets: []int64{0, 2}, nodes: []int32{1, 0}, roots: []int32{1}, widths: []int64{3},
-			BuildStats: BuildStats{Theta: 1, TotalNodes: 2, TotalWidth: 3},
-		}},
-		{Key: "wide", GraphID: "g#2", GraphN: 2, GraphM: 1, Collection: &Collection{
-			offsets: []int64{0, 1}, nodes: []int32{0}, roots: []int32{1}, widths: []int64{int64(5) << 31},
-			BuildStats: BuildStats{Theta: 1, TotalNodes: 1, TotalWidth: int64(5) << 31},
-		}},
+		{Key: "single", GraphID: "g#1", GraphN: 3, GraphM: 2, Collection: single},
+		{Key: "wide", GraphID: "g#2", GraphN: 2, GraphM: 1,
+			Collection: collectionFromSets([]RRSet{{Root: 1, Nodes: []int32{0}, Width: int64(5) << 31}}, 2)},
 	}
 	for _, s := range smalls {
 		var buf bytes.Buffer
@@ -304,16 +402,20 @@ func FuzzReadCollection(f *testing.F) {
 	}
 	f.Add([]byte("CRRS"))
 	f.Add([]byte{})
+	f.Add(encodeVersion1(f, &Snapshot{Key: "single", GraphID: "g#1", GraphN: 3, GraphM: 2, Collection: single},
+		[]RRSet{{Root: 1, Nodes: []int32{1, 0}, Width: 3}}))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		s, err := ReadCollection(bytes.NewReader(data))
 		if err != nil {
 			return
 		}
-		// Whatever parses must be internally consistent enough to select
-		// from without panicking.
+		// Whatever parses must be internally consistent: every posting
+		// names one of the collection's sets, and selection runs.
 		col := s.Collection
-		for i := 0; i < col.Len(); i++ {
-			_ = col.Set(i)
+		for _, si := range col.cover.sets {
+			if si < 0 || int(si) >= col.Len() {
+				t.Fatalf("posting %d outside [0,%d)", si, col.Len())
+			}
 		}
 		SelectSeeds(col, 2)
 	})

@@ -31,24 +31,15 @@ const (
 // Collection built once may be shared freely across goroutines — nothing in
 // this package mutates it after BuildCollection returns.
 //
-// The sets live in a flat arena: one shared node buffer plus per-set
-// offsets, roots and widths, instead of θ separately allocated slices. That
-// keeps generation garbage to O(workers) buffers, makes Bytes exact (every
-// backing array is reachable from here and sized len == cap), and gives
-// selection cache-friendly sequential scans. Access sets through Len,
-// NodesOf, Root, Width, or the Set view — the arena layout is not part of
-// the API.
+// The only per-set data it keeps is its coverage index: for each node, the
+// ascending ids of the sets that contain it. That is all greedy max
+// coverage reads, so no set's node list, root or width is kept; their
+// totals are in BuildStats. Both index arrays are sized len == cap, which
+// makes Bytes exact.
 type Collection struct {
-	offsets []int64 // set i's nodes are nodes[offsets[i]:offsets[i+1]]
-	nodes   []int32 // node arena, exactly TotalNodes long
-	roots   []int32
-	widths  []int64
-
-	// cover is the packed inverted coverage index (node -> containing set
-	// ids), built once per collection on top of the arena buffers so every
-	// selection reuses it. nil only on the zero Collection, which selects
+	// cover is empty (nil off) only on the zero Collection, which selects
 	// no seeds.
-	cover *coverIndex
+	cover coverIndex
 
 	BuildStats
 }
@@ -74,46 +65,22 @@ type BuildStats struct {
 }
 
 // Len returns the number of RR sets in the collection (== Theta).
-func (c *Collection) Len() int { return len(c.roots) }
+func (c *Collection) Len() int { return c.Theta }
 
-// NodesOf returns set i's nodes as a view into the shared arena. The slice
-// must not be mutated or appended to.
-func (c *Collection) NodesOf(i int) []int32 {
-	return c.nodes[c.offsets[i]:c.offsets[i+1]:c.offsets[i+1]]
-}
-
-// Root returns set i's root node.
-func (c *Collection) Root(i int) int32 { return c.roots[i] }
-
-// Width returns ω(R_i), the number of edges pointing into set i's nodes.
-func (c *Collection) Width(i int) int64 { return c.widths[i] }
-
-// Set returns an RRSet view of set i. Nodes aliases the shared arena and
-// must not be mutated.
-func (c *Collection) Set(i int) RRSet {
-	return RRSet{Root: c.roots[i], Nodes: c.NodesOf(i), Width: c.widths[i]}
-}
-
-// Bytes returns the exact resident memory of the collection — the struct,
-// its four arena arrays, and the packed coverage index, all allocated with
-// len == cap — the quantity an LRU cache budgets against. (The runtime
-// rounds each backing array up to an allocation size class; for the
-// multi-megabyte arenas the cache holds, that rounding is page-granular and
-// far below 1%.)
+// Bytes returns the exact resident memory of the collection — the struct
+// and its coverage index's two arrays, 8·(n+1) bytes of per-node offsets
+// and 4·TotalNodes bytes of set ids, allocated with len == cap — the
+// quantity an LRU cache budgets against. (The runtime rounds each backing
+// array up to an allocation size class; for the multi-megabyte indexes the
+// cache holds, that rounding is page-granular and far below 1%.)
 func (c *Collection) Bytes() int64 {
-	b := int64(unsafe.Sizeof(*c)) +
-		8*int64(cap(c.offsets)) + 4*int64(cap(c.nodes)) +
-		4*int64(cap(c.roots)) + 8*int64(cap(c.widths))
-	if c.cover != nil {
-		b += c.cover.bytes()
-	}
-	return b
+	return int64(unsafe.Sizeof(*c)) + c.cover.bytes()
 }
 
 // BuildCollection runs the generation half of GeneralTIM (Algorithm 1 lines
 // 1-3): estimate KPT in parallel, derive θ from Eq. 3 (unless
 // opts.FixedTheta is set), and generate θ RR sets in parallel into the
-// collection's arena. The result is deterministic in (generator
+// collection's coverage index. The result is deterministic in (generator
 // configuration, k, opts, seed) and independent of opts.Workers.
 func BuildCollection(gen Generator, m, k int, opts Options, seed uint64) *Collection {
 	opts = opts.withDefaults()
@@ -141,16 +108,12 @@ func BuildCollection(gen Generator, m, k int, opts Options, seed uint64) *Collec
 
 	//comic:timing reported phase duration; never feeds seed selection
 	t1 := time.Now()
-	col.offsets, col.nodes, col.roots, col.widths = collectFlat(gen, theta, opts.Workers, seed)
+	col.cover, col.TotalWidth = collectCover(gen, theta, opts.Workers, seed)
 	//comic:timing reported phase duration; never feeds seed selection
 	col.GenDuration = time.Since(t1)
-	col.TotalNodes = int64(len(col.nodes))
-	for _, w := range col.widths {
-		col.TotalWidth += w
-	}
+	col.TotalNodes = int64(len(col.cover.sets))
 	col.Explored = *gen.Counters()
 	col.Explored.Sub(&col.ExploredKPT)
-	col.cover = buildCoverIndex(col.offsets, col.nodes, n)
 	return col
 }
 
@@ -163,18 +126,18 @@ func BuildCollection(gen Generator, m, k int, opts Options, seed uint64) *Collec
 // collection concurrently.
 func SelectSeeds(col *Collection, k int) ([]int32, *Stats) {
 	st := &Stats{BuildStats: col.BuildStats}
-	if col.cover == nil {
+	if col.cover.off == nil {
 		return nil, st
 	}
 	//comic:timing reported phase duration; never feeds seed selection
 	t := time.Now()
-	seeds, covered := celfCover(col.cover, col.offsets, col.nodes, k)
+	seeds, covered := celfCover(&col.cover, col.Len(), k)
 	//comic:timing reported phase duration; never feeds seed selection
 	st.SelectDuration = time.Since(t)
 	if col.Len() > 0 {
 		st.Coverage = float64(covered) / float64(col.Len())
 	}
-	st.SpreadEstimate = float64(col.cover.n) * st.Coverage
+	st.SpreadEstimate = float64(col.cover.nodes()) * st.Coverage
 	return seeds, st
 }
 

@@ -1,84 +1,90 @@
 package rrset
 
-import "unsafe"
+import "iter"
 
-// coverIndex is the packed inverted coverage index of one collection: for
-// every node v, the ids of the RR sets containing v, as one flat postings
-// arena in CSR form. BuildCollection (and the snapshot codec) builds it once
-// on top of the arena buffers; every selection over the collection then
-// reuses it instead of re-inverting the node arena per query, which is what
-// makes a warm selection cheap.
+// coverIndex is the packed inverted coverage index of one collection, and
+// the only per-set data the collection keeps: for every node v, the ids of
+// the RR sets containing v, as one flat postings arena in CSR form.
+// BuildCollection inverts its workers' generation buffers straight into it,
+// and the snapshot codec reads it back as is; every selection over the
+// collection reuses it. Greedy max coverage needs nothing else: a node's
+// marginal gain is the number of its postings not yet covered.
 //
-// Like the collection arena itself, both backing arrays are allocated with
-// len == cap so Collection.Bytes stays exact.
+// Both backing arrays are allocated with len == cap so Collection.Bytes
+// stays exact. Postings are int64-offset: total node occurrences across a
+// 2M-set collection can exceed 2^31 on large graphs.
 type coverIndex struct {
-	n    int     // node-id domain [0, n)
-	off  []int64 // node v's postings are sets[off[v]:off[v+1]]
-	sets []int32 // set ids, ascending within each node's postings
+	off  []int64 // node v's postings are sets[off[v]:off[v+1]]; len n+1
+	sets []int32 // set ids, strictly ascending within each node's postings
 }
 
-// buildCoverIndex inverts a flat RR-set arena (set i's nodes are
-// nodes[offsets[i]:offsets[i+1]]) for a graph of n nodes. Postings are
-// int64-offset: total node occurrences across a 2M-set collection can
-// exceed 2^31 on large graphs.
-func buildCoverIndex(offsets []int64, nodes []int32, n int) *coverIndex {
-	numSets := len(offsets) - 1
-	if numSets < 0 {
-		numSets = 0
-	}
+// nodes returns the size of the node-id domain [0, n) the index covers.
+func (c *coverIndex) nodes() int { return len(c.off) - 1 }
+
+// postings returns the ids of the sets containing v, ascending.
+func (c *coverIndex) postings(v int32) []int32 { return c.sets[c.off[v]:c.off[v+1]] }
+
+// bytes is the exact resident memory of the index's two arrays.
+func (c *coverIndex) bytes() int64 {
+	return 8*int64(cap(c.off)) + 4*int64(cap(c.sets))
+}
+
+// newCoverIndex inverts RR sets over the node-id domain [0, n). sets
+// yields each set's nodes in ascending set id, and is ranged twice: once to
+// count each node's postings and once to fill them. Visiting set ids in
+// order keeps every node's postings ascending, whatever order a set lists
+// its nodes in.
+func newCoverIndex(n int, sets iter.Seq[[]int32]) coverIndex {
 	off := make([]int64, n+1)
-	for _, v := range nodes {
-		off[v+1]++
+	for nodes := range sets {
+		for _, v := range nodes {
+			off[v+1]++
+		}
 	}
 	for v := 0; v < n; v++ {
 		off[v+1] += off[v]
 	}
-	sets := make([]int32, off[n])
-	cursor := make([]int64, n)
-	copy(cursor, off[:n])
-	for i := 0; i < numSets; i++ {
-		for _, v := range nodes[offsets[i]:offsets[i+1]] {
-			sets[cursor[v]] = int32(i)
-			cursor[v]++
+	ids := make([]int32, off[n])
+	// off[v] serves as v's write cursor, which leaves it at v's end; one
+	// shift right afterwards restores the starts.
+	i := int32(0)
+	for nodes := range sets {
+		for _, v := range nodes {
+			ids[off[v]] = i
+			off[v]++
 		}
+		i++
 	}
-	return &coverIndex{n: n, off: off, sets: sets}
-}
-
-// bytes is the exact resident memory of the index (struct + both arrays).
-func (c *coverIndex) bytes() int64 {
-	return int64(unsafe.Sizeof(*c)) + 8*int64(cap(c.off)) + 4*int64(cap(c.sets))
+	copy(off[1:], off[:n])
+	off[0] = 0
+	return coverIndex{off: off, sets: ids}
 }
 
 // celfCover is SelectSeeds' CELF lazy-greedy max-coverage core over a
-// packed coverage index. It returns min(k, cov.n) seeds and the number of
-// sets they cover. Coverage is tracked in a word-packed bitset over set
-// ids.
+// packed coverage index of numSets sets. It returns min(k, nodes) seeds and
+// the number of sets they cover. Coverage is tracked in a word-packed
+// bitset over set ids.
 //
-// Marginal gains only shrink as sets become covered (coverage counts are
-// monotone decreasing), so a popped entry whose cached gain is still
-// current is the true argmax and stale entries just get their key refreshed
-// and sifted back — the classic CELF argument, specialized to integer
-// coverage counts. Output is identical to the eager argmax scan by
-// construction (ties break to the lowest node id via lazyKey); the tests
-// pin this against an eager argmax scan kept as their oracle.
-func celfCover(cov *coverIndex, offsets []int64, nodes []int32, k int) ([]int32, int) {
-	n := cov.n
+// Marginal gains only shrink as sets become covered, so a popped entry
+// whose cached gain is still current is the true argmax, and stale entries
+// just get their key refreshed and sifted back — the classic CELF
+// argument, specialized to integer coverage counts. A popped node's current
+// gain is recounted from its postings against the bitset, unless it was
+// already recounted since the last pick: stamp[v] holds the pick number of
+// v's last count, and every count starts current at pick 0. Output is
+// identical to the eager argmax scan by construction (ties break to the
+// lowest node id via lazyKey); the tests pin this against an eager argmax
+// scan kept as their oracle.
+func celfCover(cov *coverIndex, numSets, k int) ([]int32, int) {
+	n := cov.nodes()
 	k = min(k, n)
-	numSets := len(offsets) - 1
-	if numSets < 0 {
-		numSets = 0
-	}
 	covered := make([]uint64, (numSets+63)/64)
-	count := make([]int32, n)
-	for v := 0; v < n; v++ {
-		count[v] = int32(cov.off[v+1] - cov.off[v])
-	}
+	stamp := make([]int32, n)
 
 	// Binary max-heap of lazyKeys, one entry per node, O(n) heapify.
 	heap := make([]uint64, n)
 	for v := 0; v < n; v++ {
-		heap[v] = lazyKey(count[v], int32(v))
+		heap[v] = lazyKey(int32(cov.off[v+1]-cov.off[v]), int32(v))
 	}
 	size := n
 	siftDown := func(i int) {
@@ -106,25 +112,30 @@ func celfCover(cov *coverIndex, offsets []int64, nodes []int32, k int) ([]int32,
 	totalCovered := 0
 	for len(seeds) < k && size > 0 {
 		v := lazyNode(heap[0])
-		if cur := count[v]; cur != lazyGain(heap[0]) {
-			// Stale cached gain: refresh in place and re-sift.
-			heap[0] = lazyKey(cur, v)
-			siftDown(0)
-			continue
+		if pick := int32(len(seeds)); stamp[v] != pick {
+			stamp[v] = pick
+			cur := int32(0)
+			for _, si := range cov.postings(v) {
+				if covered[si>>6]&(1<<(si&63)) == 0 {
+					cur++
+				}
+			}
+			if cur != lazyGain(heap[0]) {
+				// Stale cached gain: refresh in place and re-sift.
+				heap[0] = lazyKey(cur, v)
+				siftDown(0)
+				continue
+			}
 		}
 		seeds = append(seeds, v)
 		size--
 		heap[0] = heap[size]
 		siftDown(0)
-		for _, si := range cov.sets[cov.off[v]:cov.off[v+1]] {
+		for _, si := range cov.postings(v) {
 			w, bit := si>>6, uint64(1)<<(si&63)
-			if covered[w]&bit != 0 {
-				continue
-			}
-			covered[w] |= bit
-			totalCovered++
-			for _, u := range nodes[offsets[si]:offsets[si+1]] {
-				count[u]--
+			if covered[w]&bit == 0 {
+				covered[w] |= bit
+				totalCovered++
 			}
 		}
 	}

@@ -20,26 +20,35 @@ import (
 )
 
 // collectionFromSets packs hand-built RR sets into a collection over n
-// nodes, coverage index included, in the arena layout BuildCollection
-// gives the sets it draws. Of the build statistics only θ and the totals
-// are set.
+// nodes: the coverage index BuildCollection would invert from the same
+// sets. Of the build statistics only θ and the totals are set.
 func collectionFromSets(sets []RRSet, n int) *Collection {
-	col := &Collection{
-		offsets: make([]int64, len(sets)+1),
-		roots:   make([]int32, len(sets)),
-		widths:  make([]int64, len(sets)),
-	}
+	col := &Collection{cover: newCoverIndex(n, func(yield func([]int32) bool) {
+		for i := range sets {
+			if !yield(sets[i].Nodes) {
+				return
+			}
+		}
+	})}
 	for i := range sets {
-		col.nodes = append(col.nodes, sets[i].Nodes...)
-		col.offsets[i+1] = int64(len(col.nodes))
-		col.roots[i] = sets[i].Root
-		col.widths[i] = sets[i].Width
 		col.TotalWidth += sets[i].Width
 	}
 	col.Theta = len(sets)
-	col.TotalNodes = int64(len(col.nodes))
-	col.cover = buildCoverIndex(col.offsets, col.nodes, n)
+	col.TotalNodes = int64(len(col.cover.sets))
 	return col
+}
+
+// setsOf inverts col's coverage index back into its RR sets. Each lists
+// its nodes in ascending id, not in the order the generator found them,
+// and its root and width read zero: the collection keeps neither.
+func setsOf(col *Collection) []RRSet {
+	sets := make([]RRSet, col.Len())
+	for v := 0; v < col.cover.nodes(); v++ {
+		for _, si := range col.cover.postings(int32(v)) {
+			sets[si].Nodes = append(sets[si].Nodes, int32(v))
+		}
+	}
+	return sets
 }
 
 // selectMaxCoverageScan is the pre-CELF eager implementation of greedy max
@@ -197,10 +206,7 @@ func checkInstance(t *testing.T, regime core.Regime, seed uint64) error {
 	col := BuildCollection(gen, g.M(), maxK,
 		Options{FixedTheta: theta, Workers: 1 + r.Intn(4)}, seed^0xc0ffee)
 
-	sets := make([]RRSet, col.Len())
-	for i := range sets {
-		sets[i] = col.Set(i)
-	}
+	sets := setsOf(col)
 	for _, k := range []int{0, 1, maxK / 2, maxK} {
 		fresh, freshStats := SelectSeeds(col, k)
 		oracle, oracleCovered := selectMaxCoverageScan(sets, n, k)
@@ -306,10 +312,7 @@ func TestCELFForcedTies(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			col := tieCollection(tc.n, tc.groups)
-			sets := make([]RRSet, col.Len())
-			for i := range sets {
-				sets[i] = col.Set(i)
-			}
+			sets := setsOf(col)
 			for k := 0; k <= tc.maxK; k++ {
 				oracle, _ := selectMaxCoverageScan(sets, tc.n, k)
 				fresh, _ := SelectSeeds(col, k)

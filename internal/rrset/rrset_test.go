@@ -2,6 +2,7 @@ package rrset
 
 import (
 	"math"
+	"reflect"
 	"sort"
 	"strings"
 	"testing"
@@ -679,34 +680,37 @@ func TestSelectMaxCoverageTieBreaksByLowestID(t *testing.T) {
 	}
 }
 
-// TestBuildCollectionArenaMatchesCollect: the flat arena holds exactly the
-// sets one generator collects, one Generate per random stream i of the
-// seed, set for set and node for node, and the build's counters are that
-// generator's, for any worker count.
+// TestBuildCollectionArenaMatchesCollect: the coverage index holds exactly
+// the sets one generator collects, one Generate per random stream i of the
+// seed, set for set and node for node (as sorted node lists: the index
+// keeps no order within a set), and the build's totals and counters are
+// that generator's, for any worker count.
 func TestBuildCollectionArenaMatchesCollect(t *testing.T) {
 	g := graph.PowerLaw(300, 6, 2.16, true, rng.New(1))
 	graph.AssignWeightedCascade(g)
 	const theta, seed = 250, 77
 	ref := NewIC(g)
 	want := make([]RRSet, theta)
+	var totalNodes, totalWidth int64
 	for i := range want {
 		r := rng.NewStream(seed, uint64(i))
 		ref.Generate(int32(r.Intn(g.N())), r, &want[i])
+		totalNodes += int64(len(want[i].Nodes))
+		totalWidth += want[i].Width
 	}
 	for _, workers := range []int{1, 4} {
 		col := BuildCollection(NewIC(g), g.M(), 5, Options{FixedTheta: theta, Workers: workers}, seed)
 		if col.Len() != len(want) {
 			t.Fatalf("workers=%d: Len = %d, want %d", workers, col.Len(), len(want))
 		}
-		for i := range want {
-			got := col.Set(i)
-			if got.Root != want[i].Root || got.Width != want[i].Width {
-				t.Fatalf("workers=%d set %d: root/width (%d,%d) != (%d,%d)",
-					workers, i, got.Root, got.Width, want[i].Root, want[i].Width)
+		for i, got := range setsOf(col) {
+			if !setsEqual(got.Nodes, sortedNodes(&want[i])) {
+				t.Fatalf("workers=%d set %d: nodes %v != %v", workers, i, got.Nodes, sortedNodes(&want[i]))
 			}
-			if !setsEqual(got.Nodes, want[i].Nodes) {
-				t.Fatalf("workers=%d set %d: nodes %v != %v", workers, i, got.Nodes, want[i].Nodes)
-			}
+		}
+		if col.TotalNodes != totalNodes || col.TotalWidth != totalWidth {
+			t.Fatalf("workers=%d: totals (%d, %d), generator's (%d, %d)",
+				workers, col.TotalNodes, col.TotalWidth, totalNodes, totalWidth)
 		}
 		if col.Explored != *ref.Counters() {
 			t.Fatalf("workers=%d: counters %+v, generator's %+v", workers, col.Explored, *ref.Counters())
@@ -715,7 +719,7 @@ func TestBuildCollectionArenaMatchesCollect(t *testing.T) {
 }
 
 // TestCollectDeterministicAcrossWorkers: builds at 1 and 4 workers hold the
-// same sets and accumulate the same counters.
+// same sets and accumulate the same totals and counters.
 func TestCollectDeterministicAcrossWorkers(t *testing.T) {
 	g := graph.PowerLaw(300, 6, 2.16, true, rng.New(1))
 	graph.AssignWeightedCascade(g)
@@ -724,11 +728,12 @@ func TestCollectDeterministicAcrossWorkers(t *testing.T) {
 	if col1.Len() != col4.Len() {
 		t.Fatalf("Len %d at 1 worker, %d at 4", col1.Len(), col4.Len())
 	}
-	for i := 0; i < col1.Len(); i++ {
-		s1, s4 := col1.Set(i), col4.Set(i)
-		if !setsEqual(sortedNodes(&s1), sortedNodes(&s4)) {
-			t.Fatalf("set %d differs between worker counts", i)
-		}
+	if !reflect.DeepEqual(setsOf(col1), setsOf(col4)) {
+		t.Fatal("sets differ between worker counts")
+	}
+	if col1.TotalNodes != col4.TotalNodes || col1.TotalWidth != col4.TotalWidth {
+		t.Fatalf("totals differ across worker counts: (%d, %d) vs (%d, %d)",
+			col1.TotalNodes, col1.TotalWidth, col4.TotalNodes, col4.TotalWidth)
 	}
 	// Counters must be accumulated identically.
 	if col1.Explored != col4.Explored {
@@ -766,14 +771,17 @@ func TestBuildCollectionWorldInjected(t *testing.T) {
 			const theta, seed = 200, 7
 			col := BuildCollection(gen, g.M(), 3, Options{FixedTheta: theta, Workers: 3}, seed)
 			var want RRSet
-			for i := 0; i < theta; i++ {
+			var width int64
+			for i, got := range setsOf(col) {
 				r := rng.NewStream(seed, uint64(i))
 				ref.Generate(int32(r.Intn(g.N())), r, &want)
-				got := col.Set(i)
-				if got.Root != want.Root || got.Width != want.Width || !setsEqual(got.Nodes, want.Nodes) {
-					t.Fatalf("set %d: built (%d, %d, %v), world's (%d, %d, %v)",
-						i, got.Root, got.Width, got.Nodes, want.Root, want.Width, want.Nodes)
+				width += want.Width
+				if !setsEqual(got.Nodes, sortedNodes(&want)) {
+					t.Fatalf("set %d: built %v, world's %v", i, got.Nodes, sortedNodes(&want))
 				}
+			}
+			if col.TotalWidth != width {
+				t.Fatalf("TotalWidth %d, world's sets sum to %d", col.TotalWidth, width)
 			}
 		})
 	}
@@ -785,45 +793,29 @@ func TestCollectionBytesExact(t *testing.T) {
 	col := BuildCollection(NewIC(g), g.M(), 5, Options{FixedTheta: 500}, 9)
 
 	// Compute the expected footprint from quantities independent of the
-	// Bytes() implementation: θ fixes the offsets/roots/widths lengths and
-	// the per-set node counts (via the accessors) fix the arena length.
-	// Element sizes are taken from the types, not hard-coded like Bytes().
-	theta := int64(col.Len())
+	// Bytes() implementation: the graph fixes the per-node offsets and the
+	// sets' sizes fix the postings. Element sizes are taken from the types,
+	// not hard-coded like Bytes().
 	var totalNodes int64
-	for i := 0; i < col.Len(); i++ {
-		totalNodes += int64(len(col.NodesOf(i)))
+	for _, set := range setsOf(col) {
+		totalNodes += int64(len(set.Nodes))
 	}
 	var n32 int32
 	var n64 int64
 	measured := int64(unsafe.Sizeof(*col)) +
-		(theta+1)*int64(unsafe.Sizeof(n64)) + // offsets
-		totalNodes*int64(unsafe.Sizeof(n32)) + // node arena
-		theta*int64(unsafe.Sizeof(n32)) + // roots
-		theta*int64(unsafe.Sizeof(n64)) + // widths
-		int64(unsafe.Sizeof(coverIndex{})) + // coverage index
-		(int64(g.N())+1)*int64(unsafe.Sizeof(n64)) + // cover offsets
-		totalNodes*int64(unsafe.Sizeof(n32)) // cover postings
+		(int64(g.N())+1)*int64(unsafe.Sizeof(n64)) + // per-node offsets
+		totalNodes*int64(unsafe.Sizeof(n32)) // postings
 	if got := col.Bytes(); got != measured {
-		t.Fatalf("Bytes() = %d, measured arena footprint %d", got, measured)
+		t.Fatalf("Bytes() = %d, measured index footprint %d", got, measured)
 	}
 	// The backing arrays must be allocated exactly (len == cap): a grown
 	// append slack would make the accounting an estimate again.
-	if cap(col.nodes) != len(col.nodes) || cap(col.offsets) != len(col.offsets) ||
-		cap(col.roots) != len(col.roots) || cap(col.widths) != len(col.widths) {
-		t.Fatalf("arena slack: nodes %d/%d offsets %d/%d roots %d/%d widths %d/%d",
-			len(col.nodes), cap(col.nodes), len(col.offsets), cap(col.offsets),
-			len(col.roots), cap(col.roots), len(col.widths), cap(col.widths))
+	if cap(col.cover.off) != len(col.cover.off) || cap(col.cover.sets) != len(col.cover.sets) {
+		t.Fatalf("index slack: offsets %d/%d postings %d/%d",
+			len(col.cover.off), cap(col.cover.off), len(col.cover.sets), cap(col.cover.sets))
 	}
-	if col.cover == nil || cap(col.cover.off) != len(col.cover.off) ||
-		cap(col.cover.sets) != len(col.cover.sets) {
-		t.Fatalf("coverage index missing or slack-allocated")
-	}
-	if int64(len(col.cover.sets)) != totalNodes || len(col.cover.off) != g.N()+1 {
-		t.Fatalf("coverage index sized %d postings/%d offsets, want %d/%d",
-			len(col.cover.sets), len(col.cover.off), totalNodes, g.N()+1)
-	}
-	if col.TotalNodes != int64(len(col.nodes)) {
-		t.Fatalf("TotalNodes %d != arena length %d", col.TotalNodes, len(col.nodes))
+	if col.TotalNodes != totalNodes {
+		t.Fatalf("TotalNodes %d != %d postings", col.TotalNodes, totalNodes)
 	}
 }
 

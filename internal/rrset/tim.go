@@ -1,7 +1,6 @@
 package rrset
 
 import (
-	"sync"
 	"time"
 
 	"comic/internal/rng"
@@ -56,25 +55,20 @@ func addCounters(gen Generator, clones []Generator) {
 	}
 }
 
-// collectFlat generates count RR sets in parallel directly into flat arena
-// form: one shared node buffer plus per-set offsets, roots and widths. Set
-// i is always produced from random stream i of seed by a clone of gen, so
-// the output is deterministic and independent of the worker count.
-// Exploration counters from all clones are accumulated into gen's.
-// Generation allocates O(workers) growable buffers instead of one Nodes
-// slice per set, and the final arena is sized exactly (len == cap), which
-// is what lets Collection.Bytes account cache memory exactly.
-func collectFlat(gen Generator, count, workers int, seed uint64) (offsets []int64, nodes, roots []int32, widths []int64) {
-	offsets = make([]int64, count+1)
-	roots = make([]int32, count)
-	widths = make([]int64, count)
-	if count == 0 {
-		return offsets, nil, roots, widths
-	}
+// collectCover generates count RR sets in parallel and inverts them into
+// a coverage index over gen's nodes, returning it with the sets' total
+// width. Set i is always produced from random stream i of seed by a clone
+// of gen, so the output is deterministic and independent of the worker
+// count. Exploration counters from all clones are accumulated into gen's.
+// Each worker appends its sets' nodes to one growable buffer (sets w,
+// w+workers, … in order), and the index is inverted from those buffers
+// directly, so no set is ever kept on its own.
+func collectCover(gen Generator, count, workers int, seed uint64) (cover coverIndex, totalWidth int64) {
 	n := gen.N()
 	workers = rng.Workers(workers, count)
 	clones := make([]Generator, workers)
 	bufs := make([][]int32, workers)
+	widths := make([]int64, workers)
 	lens := make([]int32, count) // disjoint strided writes, no races
 	rng.Streams(workers, 0, count, seed, func(w int) func(int, *rng.RNG) {
 		cl := gen.Clone()
@@ -83,30 +77,22 @@ func collectFlat(gen Generator, count, workers int, seed uint64) (offsets []int6
 		return func(i int, r *rng.RNG) {
 			cl.Generate(int32(r.Intn(n)), r, &set)
 			lens[i] = int32(len(set.Nodes))
-			roots[i] = set.Root
-			widths[i] = set.Width
+			widths[w] += set.Width
 			bufs[w] = append(bufs[w], set.Nodes...)
 		}
 	})
 	addCounters(gen, clones)
-	for i := 0; i < count; i++ {
-		offsets[i+1] = offsets[i] + int64(lens[i])
+	for _, w := range widths {
+		totalWidth += w
 	}
-	nodes = make([]int32, offsets[count])
-	// Scatter each worker's buffer to the arena; worker w's buffer holds
-	// sets w, w+workers, ... contiguously in generation order.
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			buf := bufs[w]
-			pos := 0
-			for i := w; i < count; i += workers {
-				pos += copy(nodes[offsets[i]:offsets[i+1]], buf[pos:])
+	return newCoverIndex(n, func(yield func([]int32) bool) {
+		pos := make([]int, workers)
+		for i, l := range lens {
+			w := i % workers
+			if !yield(bufs[w][pos[w] : pos[w]+int(l)]) {
+				return
 			}
-		}(w)
-	}
-	wg.Wait()
-	return offsets, nodes, roots, widths
+			pos[w] += int(l)
+		}
+	}), totalWidth
 }

@@ -24,9 +24,9 @@ import (
 //   - concurrent identical misses are collapsed singleflight-style — one
 //     goroutine builds, the rest wait on the same result;
 //   - resident collections are bounded by a byte budget with
-//     least-recently-used eviction. Collections are arena-backed and
-//     report their exact resident size (rrset.Collection.Bytes), so the
-//     budget is a real bound, not an estimate.
+//     least-recently-used eviction. A collection keeps only its coverage
+//     index and reports its exact resident size (rrset.Collection.Bytes),
+//     so the budget is a real bound, not an estimate.
 //
 // An Index implements rrset.CollectionProvider and can be plugged into any
 // solver via solver.Config.Collections (or comic.Options.Index).
@@ -111,7 +111,7 @@ type IndexStats struct {
 }
 
 // NewIndex returns an empty index bounded to maxBytes of resident RR-set
-// data (exact arena accounting). maxBytes <= 0 means unbounded.
+// data (exact coverage-index accounting). maxBytes <= 0 means unbounded.
 func NewIndex(maxBytes int64) *Index {
 	return &Index{
 		maxBytes: maxBytes,
